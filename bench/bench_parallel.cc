@@ -1,20 +1,22 @@
 // Parallel batch-assembly benchmark: times AssembleBatch over all 2^d
-// aggregated views of a d-dimensional cube across a thread sweep and a
-// dyadic shard sweep, and verifies the determinism invariant along the
-// way — measured OpCounter totals must be identical at every thread
-// count AND every shard count (threading and sharding change wall time,
-// never the operation count the paper's cost model predicts).
+// aggregated views of a d-dimensional cube across a thread sweep, and
+// verifies the determinism invariant along the way — measured OpCounter
+// totals must be identical at every thread count (threading changes wall
+// time, never the operation count the paper's cost model predicts).
 //
 // Default configuration is the 2^24-cell cube (extent 64, 4 dims) with
 // the cube-only store (the paper's [D] strategy) — batch assembly then
 // aggregates every marginal from the base cube, the memory-friendly way
-// to exercise the threaded kernels at this scale. Emits
-// BENCH_parallel.json in the working directory so the perf trajectory
-// can accumulate across revisions.
+// to exercise the threaded kernels at this scale. Each thread count also
+// records a copy roofline: the GB/s of copying the cube on that many
+// plain threads and through the pool, so batch scaling can be read
+// against what the memory system and the pool deliver (DESIGN.md §14).
+// Emits BENCH_parallel.json in the working directory so the perf
+// trajectory can accumulate across revisions.
 //
 // Usage: bench_parallel [--smoke] [extent] [ndim] [threads]
 //   --smoke  CI mode: a 2^16-cell cube, 1 rep — fast enough for the
-//            release job while still crossing the shard-routing
+//            release job while still crossing the pooled-kernel
 //            threshold, so the ops-invariance accounting gates all run
 //   extent   per-dimension domain size (default 64; 16 under --smoke)
 //   ndim     number of dimensions      (default 4)
@@ -49,23 +51,60 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 
 struct RunResult {
   uint32_t threads = 1;
-  uint32_t shards = 1;
   double best_ms = 0.0;
   uint64_t ops = 0;
+  double copy_gbps = 0.0;       // std::thread lanes: the memory system
+  double pool_copy_gbps = 0.0;  // the same copy through the ThreadPool
 };
+
+// Copy roofline on `threads` lanes: the cube copied into a pre-faulted
+// buffer, best of `reps`, in GB/s of bytes read plus bytes written.
+// `pooled` copies 64 slices through ThreadPool::ParallelFor, the way the
+// kernels claim chunks; otherwise each lane is a plain std::thread with
+// one contiguous slice, which measures the memory system alone.
+double CopyGBps(const vecube::Tensor& cube, uint32_t threads, int reps,
+                bool pooled) {
+  const uint64_t cells = cube.size();
+  std::vector<double> dst(cells);  // value-initialized: pages pre-faulted
+  const uint64_t slices = pooled ? 64 : threads;
+  auto copy_slices = [&](uint64_t begin, uint64_t end) {
+    const uint64_t lo = cells * begin / slices;
+    const uint64_t hi = cells * end / slices;
+    std::memcpy(dst.data() + lo, cube.raw() + lo, (hi - lo) * sizeof(double));
+  };
+  std::unique_ptr<vecube::ThreadPool> pool;
+  if (pooled && threads > 1) {
+    pool = std::make_unique<vecube::ThreadPool>(threads);
+  }
+  double best_ms = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    if (pool != nullptr) {
+      pool->ParallelFor(slices, 1, copy_slices);
+    } else if (pooled || threads == 1) {
+      copy_slices(0, slices);
+    } else {
+      std::vector<std::thread> lanes;
+      for (uint64_t t = 0; t < threads; ++t) {
+        lanes.emplace_back(copy_slices, t, t + 1);
+      }
+      for (std::thread& lane : lanes) lane.join();
+    }
+    best_ms = std::min(best_ms, MillisSince(start));
+  }
+  return 2.0 * static_cast<double>(cells * sizeof(double)) / (best_ms * 1e6);
+}
 
 // Best-of-kReps timed batch over `targets`; returns false on failure or
 // on op-count drift across reps.
 bool TimedBatch(const vecube::ElementStore& store,
                 const std::vector<vecube::ElementId>& targets,
-                uint32_t threads, uint32_t shards, int reps,
-                RunResult* out) {
+                uint32_t threads, int reps, RunResult* out) {
   std::unique_ptr<vecube::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<vecube::ThreadPool>(threads);
-  vecube::AssemblyEngine engine(&store, pool.get(), nullptr, shards);
+  vecube::AssemblyEngine engine(&store, pool.get());
 
   out->threads = threads;
-  out->shards = shards;
   out->best_ms = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     vecube::OpCounter ops;
@@ -149,47 +188,28 @@ int main(int argc, char** argv) {
     sum_plan_cost += plan;
   }
 
-  // Thread sweep: powers of two from 1 up to the requested maximum (the
-  // shard budget follows the pool by default), then a shard sweep at the
-  // top thread count to isolate decomposition effects from pool size.
+  // Thread sweep: powers of two from 1 up to the requested maximum.
   std::vector<RunResult> thread_runs;
-  uint32_t top_threads = 1;
   for (uint32_t threads = 1; threads <= max_threads; threads *= 2) {
-    top_threads = threads;
     RunResult run;
-    if (!TimedBatch(*store, targets, threads, 0, reps, &run)) return 1;
+    if (!TimedBatch(*store, targets, threads, reps, &run)) return 1;
+    run.copy_gbps = CopyGBps(*cube, threads, reps, /*pooled=*/false);
+    run.pool_copy_gbps = CopyGBps(*cube, threads, reps, /*pooled=*/true);
     thread_runs.push_back(run);
-    std::printf("  threads=%-3u best of %d: %10.2f ms   ops=%llu\n", threads,
-                reps, run.best_ms, static_cast<unsigned long long>(run.ops));
+    std::printf("  threads=%-3u best of %d: %10.2f ms   ops=%llu   "
+                "copy %.2f GB/s (pool %.2f)\n",
+                threads, reps, run.best_ms,
+                static_cast<unsigned long long>(run.ops), run.copy_gbps,
+                run.pool_copy_gbps);
   }
 
-  std::vector<RunResult> shard_runs;
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    RunResult run;
-    if (!TimedBatch(*store, targets, top_threads, shards, reps, &run)) {
-      return 1;
-    }
-    shard_runs.push_back(run);
-    std::printf("  shards=%-3u (threads=%u) best of %d: %10.2f ms   "
-                "ops=%llu\n",
-                shards, top_threads, reps, run.best_ms,
-                static_cast<unsigned long long>(run.ops));
-  }
-
-  // Determinism invariant: identical measured ops at every thread count
-  // and every shard count, and batch sharing never exceeds the sum of
-  // individual plan costs. This is the accounting gate the CI smoke run
-  // exists for.
+  // Determinism invariant: identical measured ops at every thread count,
+  // and batch sharing never exceeds the sum of individual plan costs.
+  // This is the accounting gate the CI smoke run exists for.
   const uint64_t baseline_ops = thread_runs.front().ops;
   for (const RunResult& run : thread_runs) {
     if (run.ops != baseline_ops) {
       std::fprintf(stderr, "FAIL: ops differ across thread counts\n");
-      return 1;
-    }
-  }
-  for (const RunResult& run : shard_runs) {
-    if (run.ops != baseline_ops) {
-      std::fprintf(stderr, "FAIL: ops differ across shard counts\n");
       return 1;
     }
   }
@@ -223,21 +243,12 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"runs\": [\n");
   for (size_t i = 0; i < thread_runs.size(); ++i) {
     std::fprintf(json,
-                 "    {\"threads\": %u, \"best_ms\": %.3f, \"ops\": %llu}%s\n",
+                 "    {\"threads\": %u, \"best_ms\": %.3f, \"ops\": %llu, "
+                 "\"copy_gbps\": %.3f, \"pool_copy_gbps\": %.3f}%s\n",
                  thread_runs[i].threads, thread_runs[i].best_ms,
                  static_cast<unsigned long long>(thread_runs[i].ops),
+                 thread_runs[i].copy_gbps, thread_runs[i].pool_copy_gbps,
                  i + 1 < thread_runs.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"shard_runs\": [\n");
-  for (size_t i = 0; i < shard_runs.size(); ++i) {
-    std::fprintf(json,
-                 "    {\"shards\": %u, \"threads\": %u, \"best_ms\": %.3f, "
-                 "\"ops\": %llu}%s\n",
-                 shard_runs[i].shards, shard_runs[i].threads,
-                 shard_runs[i].best_ms,
-                 static_cast<unsigned long long>(shard_runs[i].ops),
-                 i + 1 < shard_runs.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n");
   std::fprintf(json, "  \"speedup\": %.3f\n", speedup);

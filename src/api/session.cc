@@ -412,14 +412,14 @@ Result<RepairReport> OlapSession::Repair() {
 }
 
 void OlapSession::RebuildEngines() {
-  engine_ = std::make_unique<AssemblyEngine>(&store_, pool_.get(), &scratch_,
-                                             options_.num_shards);
+  engine_ =
+      std::make_unique<AssemblyEngine>(&store_, pool_.get(), &scratch_);
   range_engine_ = std::make_unique<RangeEngine>(
       &store_, MissingElementPolicy::kAssemble, pool_.get(), cache_.get(),
-      &scratch_, options_.num_shards);
+      &scratch_);
   if (count_store_.has_value()) {
-    count_engine_ = std::make_unique<AssemblyEngine>(
-        &*count_store_, pool_.get(), &scratch_, options_.num_shards);
+    count_engine_ = std::make_unique<AssemblyEngine>(&*count_store_,
+                                                     pool_.get(), &scratch_);
   }
   ServeQueryOptions serve_options = options_.serving;
   // Degradation is a per-query opt-in via QueryContext (Query() only);

@@ -118,14 +118,6 @@ struct OlapSessionOptions {
   /// 1 = fully serial, bit- and count-identical to the single-threaded
   /// engine (any thread count is, but 1 spawns no workers at all).
   uint32_t num_threads = 0;
-  /// Dyadic shard budget for aggregate-descent cascades (DESIGN.md §14):
-  /// large cascades split into up to this many disjoint-subrectangle
-  /// sub-plans plus a log-depth combine stage, each shard running its
-  /// whole cascade out of a private scratch slab. 0 = pool size (the
-  /// default: one shard per execution lane); 1 disables sharding; other
-  /// values round down to a power of two. Any setting is bit- and
-  /// op-count-identical — this is a locality/parallelism knob only.
-  uint32_t num_shards = 0;
   /// Run the InvariantChecker (src/verify) after each engine operation:
   /// (k,o) bounds, Haar round trip, non-expansive splits, op-count ==
   /// plan-cost, and store consistency after incremental maintenance. A

@@ -62,39 +62,15 @@ struct AssemblyEngine::BatchCache {
 };
 
 AssemblyEngine::AssemblyEngine(const ElementStore* store, ThreadPool* pool,
-                               ScratchArena* arena, uint32_t num_shards)
+                               ScratchArena* arena)
     : store_(store),
       pool_(pool),
       arena_(arena),
-      num_shards_(num_shards != 0
-                      ? num_shards
-                      : (pool != nullptr ? pool->num_threads() : 1)),
       shape_(store->shape()),
       indexer_(shape_) {
   VECUBE_CHECK(store != nullptr);
-  if (num_shards_ > 1) {
-    shard_exec_ = std::make_unique<ThreadedShardExecutor>(pool_);
-  }
   dense_memos_ = indexer_.size() <= kDenseMemoLimit;
   Invalidate();
-}
-
-Result<Tensor> AssemblyEngine::RunCascade(const Tensor& source,
-                                          const std::vector<CascadeStep>& steps,
-                                          OpCounter* ops,
-                                          const QueryContext* ctx) {
-  // Shard only cascades with enough cells to amortize the per-task setup
-  // (same threshold the kernels use for pool fan-out); tiny descents and
-  // degenerate decompositions take the pooled fused path unchanged.
-  if (shard_exec_ != nullptr && !steps.empty() &&
-      source.size() >= kParallelKernelCells) {
-    const ShardPlan plan =
-        ShardPlan::Build(source.extents(), steps, num_shards_);
-    if (plan.parallelism() > 1) {
-      return shard_exec_->Execute(source, plan, ops, ctx);
-    }
-  }
-  return CascadeAnalysis(source, steps, ops, pool_, arena_, ctx);
 }
 
 void AssemblyEngine::Invalidate() {
@@ -261,7 +237,8 @@ Result<Tensor> AssemblyEngine::ExecuteSolo(const ElementId& target,
       const Tensor* data;
       VECUBE_ASSIGN_OR_RETURN(data, store_->Get(source));
       if (source == target) return *data;
-      return RunCascade(*data, DescentSteps(source, target), ops, ctx);
+      return CascadeAnalysis(*data, DescentSteps(source, target), ops, pool_,
+                             arena_, ctx);
     }
     case Choice::kSynthesize: {
       ElementId p_id, r_id;
@@ -334,7 +311,8 @@ Result<Tensor> AssemblyEngine::ExecuteShared(const ElementId& target,
         const Tensor* data;
         VECUBE_ASSIGN_OR_RETURN(data, store_->Get(source));
         if (source == target) return *data;
-        return RunCascade(*data, DescentSteps(source, target), &local, ctx);
+        return CascadeAnalysis(*data, DescentSteps(source, target), &local,
+                               pool_, arena_, ctx);
       }
       case Choice::kSynthesize: {
         ElementId p_id, r_id;

@@ -36,14 +36,12 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/element_id.h"
 #include "core/graph.h"
-#include "core/shard_plan.h"
 #include "core/store.h"
 #include "cube/shape.h"
 #include "cube/tensor.h"
@@ -70,14 +68,10 @@ class AssemblyEngine {
   /// Borrows the store (and the pool and arena, when given); the caller
   /// keeps all three alive. A null or single-threaded pool reproduces the
   /// serial engine exactly; `arena` only recycles kernel scratch and never
-  /// changes results. `num_shards` bounds the dyadic shard decomposition
-  /// of aggregate-descent cascades (DESIGN.md §14): 0 means "pool size",
-  /// 1 disables sharding, larger values round down to a power of two.
-  /// Sharding never changes results or OpCounter totals.
+  /// changes results.
   explicit AssemblyEngine(const ElementStore* store,
                           ThreadPool* pool = nullptr,
-                          ScratchArena* arena = nullptr,
-                          uint32_t num_shards = 0);
+                          ScratchArena* arena = nullptr);
 
   /// Procedure-3 cost T_n of producing `target` from the store, in
   /// add/subtract operations. kInfiniteCost if unreachable (store not
@@ -113,9 +107,6 @@ class AssemblyEngine {
 
   /// Drops all memoized plans (call after the store changes).
   void Invalidate();
-
-  /// Resolved shard budget (after the "0 = pool size" default).
-  [[nodiscard]] uint32_t num_shards() const { return num_shards_; }
 
  private:
   enum class Choice : uint8_t { kAggregate, kSynthesize, kNone };
@@ -189,18 +180,10 @@ class AssemblyEngine {
   Result<Tensor> ExecuteShared(const ElementId& target, BatchCache* cache,
                                std::atomic<uint64_t>* adds,
                                const QueryContext* ctx);
-  // Aggregate-descent cascade: shard-decomposed when the shard budget and
-  // source size allow, otherwise the pooled fused path. Bit-identical
-  // either way, with identical analytic booking into `ops`.
-  Result<Tensor> RunCascade(const Tensor& source,
-                            const std::vector<CascadeStep>& steps,
-                            OpCounter* ops, const QueryContext* ctx);
 
   const ElementStore* store_;
   ThreadPool* pool_;
   ScratchArena* arena_;
-  uint32_t num_shards_;
-  std::unique_ptr<ThreadedShardExecutor> shard_exec_;
   CubeShape shape_;
   ElementIndexer indexer_;
   bool dense_memos_ = false;

@@ -292,64 +292,6 @@ Result<Tensor> ExecuteFusedGroup(const Tensor& in, const Group& g,
 
 }  // namespace
 
-namespace internal {
-
-Status ExecuteCascadeSerial(const double* in,
-                            const std::vector<uint32_t>& in_extents,
-                            const std::vector<CascadeStep>& steps, double* out,
-                            ShardScratch* scratch, const QueryContext* ctx) {
-  uint64_t volume = 1;
-  for (const uint32_t e : in_extents) volume *= e;
-  if (steps.empty()) {
-    std::copy(in, in + volume, out);
-    return Status::OK();
-  }
-  const uint64_t budget = FusedBudgetCells();
-  const std::vector<Group> groups = PlanGroups(in_extents, steps, budget);
-  const HaarVecOps& vec = VecOps();
-
-  // Size the ping-pong tiles for the largest group up front so every
-  // group shares the same two grants.
-  std::vector<GroupGeom> geoms;
-  geoms.reserve(groups.size());
-  uint64_t max_scratch = 0;
-  std::vector<uint32_t> entry = in_extents;
-  for (const Group& g : groups) {
-    geoms.push_back(ComputeGeom(entry, g, budget));
-    if (g.passes.size() >= 2) {
-      max_scratch = std::max(max_scratch, geoms.back().scratch_cells);
-    }
-    entry = g.exit_extents;
-  }
-  double* bufs[2] = {nullptr, nullptr};
-  if (max_scratch > 0) {
-    bufs[0] = scratch->Take(max_scratch);
-    bufs[1] = scratch->Take(max_scratch);
-  }
-
-  const double* cur = in;
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    const Group& g = groups[gi];
-    const GroupGeom& geo = geoms[gi];
-    double* dst;
-    if (gi + 1 == groups.size()) {
-      dst = out;
-    } else {
-      uint64_t exit_cells = 1;
-      for (const uint32_t e : g.exit_extents) exit_cells *= e;
-      dst = scratch->Take(exit_cells);
-    }
-    for (uint64_t c = 0; c < geo.chunks; ++c) {
-      if (ctx != nullptr) VECUBE_RETURN_NOT_OK(ctx->Check());
-      RunChunk(g, geo, c, cur, dst, bufs, vec);
-    }
-    cur = dst;
-  }
-  return Status::OK();
-}
-
-}  // namespace internal
-
 Result<Tensor> CascadeAnalysis(const Tensor& input,
                                const std::vector<CascadeStep>& steps,
                                OpCounter* ops, ThreadPool* pool,

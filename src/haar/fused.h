@@ -82,21 +82,6 @@ uint64_t FusedBudgetCells();
 /// Affects planning only — results are bit-identical at any budget.
 void SetFusedBudgetForTesting(uint64_t cells);
 
-/// Runs an already-validated cascade serially over raw row-major storage:
-/// every fused group of `steps` applied to `in` (shape `in_extents`),
-/// final level written to `out` (which must not alias `in` or any scratch
-/// grant). All intermediates and ping-pong tiles draw from `scratch` —
-/// no locks, no pool, no allocation once the lane's slabs are warm — so
-/// this is the per-lane engine of the shard executor (DESIGN.md §14).
-/// The caller owns the scratch Reset() cycle: grants made before the call
-/// (e.g. a gathered input subrectangle) stay valid throughout. `ctx` is
-/// polled per (slab, tile) chunk. Bit-identical to CascadeAnalysis over
-/// the same step list; books nothing (callers account analytically).
-[[nodiscard]] Status ExecuteCascadeSerial(
-    const double* in, const std::vector<uint32_t>& in_extents,
-    const std::vector<CascadeStep>& steps, double* out, ShardScratch* scratch,
-    const QueryContext* ctx = nullptr);
-
 }  // namespace internal
 
 }  // namespace vecube

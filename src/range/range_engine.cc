@@ -16,11 +16,10 @@ constexpr uint32_t kMaxFollowerRetries = 3;
 
 RangeEngine::RangeEngine(const ElementStore* store,
                          MissingElementPolicy policy, ThreadPool* pool,
-                         ViewCache* cache, ScratchArena* arena,
-                         uint32_t num_shards)
+                         ViewCache* cache, ScratchArena* arena)
     : store_(store),
       policy_(policy),
-      engine_(store, pool, arena, num_shards),
+      engine_(store, pool, arena),
       cache_(cache),
       assembled_cache_(store->shape()) {
   VECUBE_CHECK(store != nullptr);

@@ -47,16 +47,12 @@ class RangeEngine {
   /// retained there (sharing the serving layer's benefit-weighted
   /// residency and metrics with view queries) instead of in the engine's
   /// private unbounded store.
-  /// `num_shards` is forwarded to the embedded AssemblyEngine's dyadic
-  /// shard decomposition (0 = pool size); it never changes answers or
-  /// the plan costs this engine exposes.
   explicit RangeEngine(const ElementStore* store,
                        MissingElementPolicy policy =
                            MissingElementPolicy::kAssemble,
                        ThreadPool* pool = nullptr,
                        ViewCache* cache = nullptr,
-                       ScratchArena* arena = nullptr,
-                       uint32_t num_shards = 0);
+                       ScratchArena* arena = nullptr);
 
   /// S(G(A)) of Eq. 36 via the dyadic decomposition. `stats` optional.
   /// `ctx` is polled at every odometer step (and threaded into on-demand

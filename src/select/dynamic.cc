@@ -27,7 +27,7 @@ Result<std::unique_ptr<DynamicAssembler>> DynamicAssembler::Make(
   VECUBE_RETURN_NOT_OK(
       assembler->store_.Put(ElementId::Root(shape.ndim()), cube));
   assembler->engine_ = std::make_unique<AssemblyEngine>(
-      &assembler->store_, nullptr, &assembler->arena_, options.num_shards);
+      &assembler->store_, nullptr, &assembler->arena_);
   if (options.cache.enabled) {
     assembler->cache_ = std::make_unique<ViewCache>(options.cache);
   }
@@ -170,8 +170,7 @@ Status DynamicAssembler::Reconfigure() {
     VECUBE_RETURN_NOT_OK(next.Put(id, std::move(data)));
   }
   store_ = std::move(next);
-  engine_ = std::make_unique<AssemblyEngine>(&store_, nullptr, &arena_,
-                                             options_.num_shards);
+  engine_ = std::make_unique<AssemblyEngine>(&store_, nullptr, &arena_);
   // The materialized set changed wholesale: every cached entry's rebuild
   // cost (its eviction score) is stale, so flush rather than patch.
   if (cache_ != nullptr) cache_->InvalidateAll();

@@ -46,11 +46,6 @@ struct DynamicOptions {
   /// assembled answers with benefit-weighted eviction. Off unless
   /// cache.enabled; flushed wholesale on every reconfiguration.
   ViewCacheOptions cache = {};
-  /// Dyadic shard budget forwarded to the assembly engines this
-  /// assembler (re)builds (DESIGN.md §14). The assembler runs its
-  /// engines without a pool today, so this only takes effect when set
-  /// explicitly (> 1); it never changes answers or plan costs.
-  uint32_t num_shards = 0;
 };
 
 /// Serves aggregated-view queries over an adaptively chosen element basis.

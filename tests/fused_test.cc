@@ -538,5 +538,70 @@ TEST(FusedStress, ConcurrentCascadesShareOneArena) {
   EXPECT_EQ(arena.outstanding(), 0u);
 }
 
+// 128x64x32 = 2^18 cells. Under a 64-cell budget the seven steps along
+// dimension 0 fuse into one group of 2048 (slab, tile) chunks fanned out
+// over the pool. With no later group boundary to poll the context, a
+// cancel that lands mid-group can only surface through the workers'
+// interrupted flag.
+Tensor PooledCascadeInput() {
+  auto shape = CubeShape::Make({128, 64, 32});
+  EXPECT_TRUE(shape.ok());
+  Rng rng(6);
+  auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
+  EXPECT_TRUE(cube.ok());
+  return std::move(cube).value();
+}
+
+std::vector<CascadeStep> PooledCascadeSteps() {
+  std::vector<CascadeStep> steps;
+  for (int s = 0; s < 5; ++s) steps.push_back({0, StepKind::kPartial});
+  for (int s = 0; s < 2; ++s) steps.push_back({0, StepKind::kResidual});
+  return steps;
+}
+
+TEST(FusedStress, PreCancelledContextUnwindsWithoutResult) {
+  const Tensor input = PooledCascadeInput();
+  ThreadPool pool(2);
+  ScratchArena arena;
+  const QueryContext ctx = QueryContext::Cancellable();
+  ctx.RequestCancel();
+  auto out = CascadeAnalysis(input, PooledCascadeSteps(), nullptr, &pool,
+                             &arena, &ctx);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(arena.outstanding(), 0u);
+}
+
+TEST(FusedStress, MidFlightCancellationUnwindsEveryWorker) {
+  // Race a cancel against a running pooled cascade, across enough
+  // repetitions to land inside the chunk loop at various depths. Every
+  // outcome must be either a complete bit-exact result or a clean
+  // cancellation — never a crash, hang, or partial tensor.
+  const Tensor input = PooledCascadeInput();
+  const std::vector<CascadeStep> steps = PooledCascadeSteps();
+  Tensor ref;
+  {
+    auto r = UnfusedCascade(input, steps);
+    ASSERT_TRUE(r.ok());
+    ref = *r;
+  }
+  ThreadPool pool(4);
+  ScratchArena arena;
+  // A 64-cell budget makes chunks (the poll granularity) plentiful.
+  BudgetOverride budget(64);
+  for (int rep = 0; rep < 20; ++rep) {
+    const QueryContext ctx = QueryContext::Cancellable();
+    std::thread canceller([&] { ctx.RequestCancel(); });
+    auto out = CascadeAnalysis(input, steps, nullptr, &pool, &arena, &ctx);
+    canceller.join();
+    if (out.ok()) {
+      EXPECT_TRUE(BitIdentical(*out, ref));
+    } else {
+      EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
+    }
+  }
+  EXPECT_EQ(arena.outstanding(), 0u);
+}
+
 }  // namespace
 }  // namespace vecube

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -186,6 +187,89 @@ TEST_F(ParallelAssemblyFixture, BatchErrorsStillPropagateWithPool) {
   auto batch = engine.AssembleBatch({*p, root});
   ASSERT_FALSE(batch.ok());
   EXPECT_TRUE(batch.status().IsIncomplete());
+}
+
+// A cube-only store over a 4-d cube (16x16x8x8 = 2^14 cells, at
+// kParallelKernelCells): every aggregated view is an aggregate descent of
+// the base cube, so solo and batch assembly both run the pooled fused
+// cascade path. Results and op counts must not move with the pool size.
+struct CubeOnlyDescents {
+  void Build() {
+    auto shape = CubeShape::Make({16, 16, 8, 8});
+    ASSERT_TRUE(shape.ok());
+    Rng rng(21);
+    auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
+    ASSERT_TRUE(cube.ok());
+    auto store = ElementComputer(*shape, &*cube).Materialize(
+        CubeOnlySet(*shape));
+    ASSERT_TRUE(store.ok());
+    store_ = std::move(store).value();
+    for (uint32_t mask = 0; mask < 16; ++mask) {
+      auto view = ElementId::AggregatedView(mask, *shape);
+      ASSERT_TRUE(view.ok());
+      targets.push_back(*view);
+    }
+  }
+
+  ElementStore store_{CubeShape{}};
+  std::vector<ElementId> targets;
+};
+
+TEST_F(ParallelAssemblyFixture, CubeOnlyAssembleBitExactAcrossThreadCounts) {
+  CubeOnlyDescents c;
+  ASSERT_NO_FATAL_FAILURE(c.Build());
+  AssemblyEngine reference(&c.store_);
+  for (const uint32_t threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    AssemblyEngine engine(&c.store_, &pool);
+    for (uint32_t mask = 1; mask < 16; mask += 5) {  // 1, 6, 11: mixed arity
+      OpCounter ref_ops, ops;
+      auto ref = reference.Assemble(c.targets[mask], &ref_ops);
+      auto out = engine.Assemble(c.targets[mask], &ops);
+      ASSERT_TRUE(ref.ok() && out.ok());
+      EXPECT_EQ(out->data(), ref->data())
+          << "threads=" << threads << " mask=" << mask;
+      EXPECT_EQ(ref_ops.adds, reference.PlanCost(c.targets[mask]));
+      EXPECT_EQ(ops.adds, reference.PlanCost(c.targets[mask]));
+    }
+  }
+}
+
+TEST_F(ParallelAssemblyFixture, CubeOnlyBatchOpsInvariantAcrossThreadCounts) {
+  CubeOnlyDescents c;
+  ASSERT_NO_FATAL_FAILURE(c.Build());
+  AssemblyEngine reference(&c.store_);
+  OpCounter ref_batch_ops;
+  auto ref = reference.AssembleBatch(c.targets, &ref_batch_ops);
+  ASSERT_TRUE(ref.ok());
+  for (const uint32_t threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    AssemblyEngine engine(&c.store_, &pool);
+    OpCounter ops;
+    auto out = engine.AssembleBatch(c.targets, &ops);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->size(), ref->size());
+    for (size_t i = 0; i < ref->size(); ++i) {
+      EXPECT_EQ((*out)[i].data(), (*ref)[i].data())
+          << "threads=" << threads << " i=" << i;
+    }
+    // The cost-sorted batch books exactly the serial batch's shared work.
+    EXPECT_EQ(ops.adds, ref_batch_ops.adds) << "threads=" << threads;
+  }
+}
+
+TEST_F(ParallelAssemblyFixture, ExpiredDeadlinePropagatesThroughPooledEngine) {
+  ThreadPool pool(4);
+  auto store = ElementComputer(shape_, &cube_).Materialize(
+      CubeOnlySet(shape_));
+  ASSERT_TRUE(store.ok());
+  AssemblyEngine engine(&*store, &pool);
+  const QueryContext ctx =
+      QueryContext::WithDeadline(QueryContext::Clock::now() -
+                                 std::chrono::milliseconds(1));
+  auto out = engine.AssembleView(0b111, nullptr, &ctx);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(ParallelSessionTest, NumThreadsOptionIsBitExact) {

@@ -56,16 +56,6 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
                          deadlines and cancellation are always honored
                          (DESIGN.md §13). Call-graph reachability, like
                          hit-path-no-locks.
-  no-shared-scratch-on-shard-path
-                         The shard hot path (ThreadedShardExecutor::
-                         RunTask and the serial cascade it drives,
-                         internal::ExecuteCascadeSerial) owns a private
-                         per-lane ShardScratch: nothing *reachable* from
-                         it may touch the mutex-protected shared
-                         ScratchArena or acquire any lock — that is the
-                         whole point of the shard decomposition
-                         (DESIGN.md §14). Call-graph reachability, like
-                         hit-path-no-locks.
   naked-sync-primitives  src/ outside util/sync.h may not name raw
                          std::mutex / condition_variable / lock_guard /
                          unique_lock / scoped_lock / shared_lock (or
@@ -116,7 +106,6 @@ RULES = (
     "order-comment",
     "no-blocking-under-shard-lock",
     "no-unbounded-wait",
-    "no-shared-scratch-on-shard-path",
     "naked-sync-primitives",
     "detached-threads",
     "escape-hatch-allowlist",
@@ -138,23 +127,6 @@ HIT_PATH_BAN_RE = re.compile(
     r"|(?:\.|->)\s*(?:Lock|LockShared|lock|try_lock|lock_shared)\s*\("
     r"|(?:\.|->)\s*Wait(?:For)?\s*\("
     r"|\bWaitFill\s*\("
-)
-
-# --- no-shared-scratch-on-shard-path -----------------------------------
-# The per-shard hot path: one gather + the whole serial cascade, run on
-# a claimed lane's private ShardScratch. Reaching the shared (mutexed)
-# ScratchArena — or any lock at all — from here would serialize the
-# shards the decomposition exists to keep independent (DESIGN.md §14).
-SHARD_SCRATCH_ROOTS = (
-    "ThreadedShardExecutor::RunTask",
-    "internal::ExecuteCascadeSerial",
-)
-SHARD_SCRATCH_BAN_RE = re.compile(
-    r"\bScratchArena\b"
-    r"|\b(?:MutexLock|WriterLock|ReaderLock)\b"
-    r"|\bstd::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b"
-    r"|(?:\.|->)\s*(?:Lock|LockShared|lock|try_lock|lock_shared)\s*\("
-    r"|(?:\.|->)\s*(?:Acquire)\s*\("
 )
 
 # --- no-unbounded-wait -------------------------------------------------
@@ -554,24 +526,6 @@ def check_hit_path(index: FunctionIndex, sources: dict, findings: list):
                     "stay epoch-pinned and lock-free (DESIGN.md §12)"))
 
 
-def check_shard_scratch(index: FunctionIndex, sources: dict,
-                        findings: list):
-    for fn in index.reachable(SHARD_SCRATCH_ROOTS):
-        src = sources.get(fn.rel)
-        if src is None:
-            continue
-        for lineno in range(fn.start_line, fn.end_line + 1):
-            if SHARD_SCRATCH_BAN_RE.search(src.code(lineno)) and \
-                    not src.suppressed(lineno,
-                                       "no-shared-scratch-on-shard-path"):
-                findings.append(Finding(
-                    fn.rel, lineno, "no-shared-scratch-on-shard-path",
-                    f"shared-arena/locking call inside {fn.qualname}, "
-                    "which is reachable from the shard hot path; shards "
-                    "must run entirely on their lane's private "
-                    "ShardScratch (DESIGN.md §14)"))
-
-
 def check_unbounded_wait(index: FunctionIndex, sources: dict,
                          findings: list):
     for fn in index.reachable(SERVING_WAIT_ROOTS):
@@ -796,7 +750,6 @@ def run_rules(root: Path, sources: dict, backend: str,
 
     findings: list = []
     check_hit_path(index, sources, findings)
-    check_shard_scratch(index, sources, findings)
     check_unbounded_wait(index, sources, findings)
     allowlist = load_allowlist(root)
     for src in sources.values():

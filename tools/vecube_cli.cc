@@ -17,14 +17,6 @@
 //       Assemble the aggregated view (bit m of MASK set = dimension m
 //       aggregated away) and print its cells.
 //
-//   vecube_cli assemble --store STORE --mask MASK [--shards S]
-//                       [--threads T]
-//       Assemble the aggregated view through the dyadic shard-parallel
-//       path (DESIGN.md §14) and print timing, the operation count, and
-//       the resolved shard budget — without dumping cells. --shards 0
-//       (default) follows the pool size; results and op counts are
-//       identical at every (shards, threads) combination.
-//
 //   vecube_cli range    --store STORE --start A,B,... --width W0,W1,...
 //       Range-aggregation over the store.
 //
@@ -103,8 +95,8 @@ int Fail(const Status& status) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: vecube_cli "
-               "build|optimize|query|assemble|range|info|serve|fsck ...\n"
+               "usage: vecube_cli build|optimize|query|range|info|serve|fsck"
+               " ...\n"
                "see the header of tools/vecube_cli.cc for details\n");
   return 2;
 }
@@ -267,49 +259,6 @@ int CmdQuery(const std::map<std::string, std::string>& flags) {
     std::printf("%s%g", i == 0 ? "" : " ", (*view)[i]);
   }
   std::printf("\n");
-  return 0;
-}
-
-int CmdAssemble(const std::map<std::string, std::string>& flags) {
-  if (!flags.count("store") || !flags.count("mask")) return Usage();
-  auto store = vecube::LoadStore(flags.at("store"));
-  if (!store.ok()) return Fail(store.status());
-  const uint32_t mask = static_cast<uint32_t>(
-      std::strtoul(flags.at("mask").c_str(), nullptr, 0));
-  const uint32_t threads =
-      flags.count("threads")
-          ? static_cast<uint32_t>(
-                std::strtoul(flags.at("threads").c_str(), nullptr, 10))
-          : vecube::ThreadPool::DefaultThreadCount();
-  const uint32_t shards =
-      flags.count("shards")
-          ? static_cast<uint32_t>(
-                std::strtoul(flags.at("shards").c_str(), nullptr, 10))
-          : 0;
-
-  std::unique_ptr<vecube::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<vecube::ThreadPool>(threads);
-  vecube::AssemblyEngine engine(&*store, pool.get(), nullptr, shards);
-
-  auto target = vecube::ElementId::AggregatedView(mask, store->shape());
-  if (!target.ok()) return Fail(target.status());
-  const uint64_t plan_cost = engine.PlanCost(*target);
-  if (plan_cost == vecube::kInfiniteCost) {
-    return Fail(Status::Incomplete("store cannot assemble this view"));
-  }
-
-  vecube::OpCounter ops;
-  const auto start = std::chrono::steady_clock::now();
-  auto view = engine.Assemble(*target, &ops);
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  if (!view.ok()) return Fail(view.status());
-  std::printf("view mask=%u shape=%s\n", mask, view->ShapeString().c_str());
-  std::printf("shards=%u threads=%u plan_cost=%llu ops=%llu time_ms=%.3f\n",
-              engine.num_shards(), threads,
-              static_cast<unsigned long long>(plan_cost),
-              static_cast<unsigned long long>(ops.adds), ms);
   return 0;
 }
 
@@ -634,7 +583,6 @@ int main(int argc, char** argv) {
   if (command == "build") return CmdBuild(flags);
   if (command == "optimize") return CmdOptimize(flags);
   if (command == "query") return CmdQuery(flags);
-  if (command == "assemble") return CmdAssemble(flags);
   if (command == "range") return CmdRange(flags);
   if (command == "info") return CmdInfo(flags);
   if (command == "serve") return CmdServe(flags);
