@@ -1,6 +1,7 @@
 #include "serve/view_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <deque>
@@ -8,20 +9,80 @@
 
 namespace vecube {
 
+namespace {
+
+// Per-entry hit counters are striped: each stripe owns a cache line, and
+// a reader thread only ever bumps the stripe HitStripeIndex() gave it, so
+// concurrent hits on one hot entry never write a line another core is
+// writing. A writer sums the stripes; the count stays exact.
+constexpr uint32_t kHitStripes = 8;
+
+struct alignas(64) HitStripe {
+  std::atomic<uint64_t> count{0};
+};
+
+// The calling thread's stripe, dealt round-robin on its first hit so up
+// to kHitStripes concurrent readers get distinct lines. More readers
+// than stripes share a stripe; the fetch_add keeps that exact too.
+uint32_t HitStripeIndex() {
+  static std::atomic<uint32_t> next_stripe{0};
+  // order: relaxed — only deals out stripe indices; no data is
+  // published through the counter, and any value is a valid stripe.
+  thread_local const uint32_t index =
+      next_stripe.fetch_add(1, std::memory_order_relaxed) % kHitStripes;
+  return index;
+}
+
+}  // namespace
+
 // A resident element. Shared between successive table versions (a COW
-// publish copies the pointer, not the entry), so the lock-free hit
-// counter a reader bumps is the same object no matter which table
-// version the reader loaded. Everything except `pending_hits` is either
+// publish copies the pointer, not the entry), so the hit stripes a
+// reader bumps are the same objects no matter which table version the
+// reader loaded. Everything except the `hit_stripes` counters is either
 // immutable after construction or guarded by the owning shard's mu.
 struct ViewCache::Entry {
   std::shared_ptr<const Tensor> data;
   uint64_t assembly_cost = 0;
   uint64_t bytes = 0;
-  /// Hits recorded since the last fold, bumped relaxed by readers.
-  std::atomic<uint64_t> pending_hits{0};
   /// Decayed hit weight as of write-generation `folded_at` (mu).
   double folded_heat = 0.0;
   uint64_t folded_at = 0;
+  /// Hits recorded since the last fold, one cache line per stripe, so
+  /// the hit path never writes the line holding the fields above.
+  std::array<HitStripe, kHitStripes> hit_stripes;
+
+  /// Hit path: one relaxed fetch_add on the calling thread's stripe.
+  void RecordHit() {
+    // order: relaxed — pure event count; the stripes are summed under
+    // shard.mu (DrainHits, Metrics) or at reclaim after the epoch proves
+    // no reader can still bump them, so no other data is published
+    // through this counter.
+    hit_stripes[HitStripeIndex()].count.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+
+  /// Takes and zeroes every stripe; the sum of hits since the last drain.
+  uint64_t DrainHits() {
+    uint64_t total = 0;
+    for (HitStripe& stripe : hit_stripes) {
+      // order: relaxed — the exchange is atomic per stripe, so a racing
+      // RecordHit lands either in this drain or in the next one; the
+      // caller serializes drains under shard.mu.
+      total += stripe.count.exchange(0, std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  /// Sum of the stripes without draining them (Metrics() snapshot).
+  [[nodiscard]] uint64_t PendingHits() const {
+    uint64_t total = 0;
+    for (const HitStripe& stripe : hit_stripes) {
+      // order: relaxed — snapshot of an event counter; hits landing
+      // during the walk appear in the next snapshot.
+      total += stripe.count.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 };
 
 // One immutable published version of a shard's resident set. Readers
@@ -133,10 +194,7 @@ ViewCache::ReadHandle ViewCache::FindPinned(
     return ReadHandle();
   }
   Entry* entry = it->second.get();
-  // order: relaxed — pure event count; folded under shard.mu (or at
-  // reclaim, after the epoch proves no reader can still bump it), so no
-  // other data is published through this counter.
-  entry->pending_hits.fetch_add(1, std::memory_order_relaxed);
+  entry->RecordHit();
   if (out_shared != nullptr) *out_shared = entry->data;
   return ReadHandle(std::move(pin), entry->data.get());
 }
@@ -170,8 +228,7 @@ ViewCache::LookupOutcome ViewCache::LookupOrBegin(const ElementId& id) {
   if (it != table->map.end()) {
     EpochDomain::Pin pin = EpochDomain::Acquire();
     Entry* entry = it->second.get();
-    // order: relaxed — same event-count contract as in FindPinned.
-    entry->pending_hits.fetch_add(1, std::memory_order_relaxed);
+    entry->RecordHit();
     out.hit = ReadHandle(std::move(pin), entry->data.get());
     return out;
   }
@@ -349,11 +406,7 @@ std::shared_ptr<const Tensor> ViewCache::InsertLocked(
 }
 
 void ViewCache::FoldEntryLocked(Shard* shard, Entry* entry) const {
-  // order: relaxed — drains the event counter; counts are self-contained
-  // (no payload is published through them) and the fold is serialized by
-  // shard->mu.
-  const uint64_t pending =
-      entry->pending_hits.exchange(0, std::memory_order_relaxed);
+  const uint64_t pending = entry->DrainHits();
   if (options_.heat_decay < 1.0 && entry->folded_heat != 0.0) {
     const uint64_t gap = shard->generation - entry->folded_at;
     if (gap != 0) {
@@ -381,7 +434,7 @@ void ViewCache::EvictIntoLocked(Shard* shard, Table* next, uint64_t needed) {
   if (next->bytes + needed <= shard_capacity_bytes_) return;
   // Fold every entry once so scores compare decayed heat plus all hits
   // recorded so far. Hits landing on a victim after this fold stay in
-  // its pending counter and are folded exactly at reclaim time.
+  // its hit stripes and are folded exactly at reclaim time.
   for (auto& [id, entry] : next->map) FoldEntryLocked(shard, entry.get());
   while (!next->map.empty() &&
          next->bytes + needed > shard_capacity_bytes_) {
@@ -422,13 +475,11 @@ void ViewCache::ReclaimLocked(Shard* shard) const {
   const uint64_t min_pinned = EpochDomain::Instance().MinPinned();
   while (!shard->limbo.empty() && shard->limbo.front().tag < min_pinned) {
     Shard::Limbo& rec = shard->limbo.front();
-    // No reader can reach these entries any more: fold their final hit
-    // counts so ServeMetrics::hits stays exact across removals.
+    // MinPinned() proved no reader can reach these entries any more, so
+    // the drain cannot race a bump: fold their final hit counts so
+    // ServeMetrics::hits stays exact across removals.
     for (const std::shared_ptr<Entry>& entry : rec.dying) {
-      // order: relaxed — MinPinned() proved no reader still holds the
-      // entry, so this drain cannot race a bump; counts are standalone.
-      const uint64_t pending =
-          entry->pending_hits.exchange(0, std::memory_order_relaxed);
+      const uint64_t pending = entry->DrainHits();
       shard->folded_hits += pending;
       shard->folded_ops_saved += pending * entry->assembly_cost;
     }
@@ -510,18 +561,13 @@ ServeMetrics ViewCache::Metrics() const {
     // whenever the cache is quiescent (and a consistent snapshot
     // otherwise).
     for (const auto& [id, entry] : live->map) {
-      // order: relaxed — snapshot of an event counter; hits landing
-      // during the walk appear in the next snapshot.
-      const uint64_t pending =
-          entry->pending_hits.load(std::memory_order_relaxed);
+      const uint64_t pending = entry->PendingHits();
       metrics.hits += pending;
       metrics.assembly_ops_saved += pending * entry->assembly_cost;
     }
     for (const Shard::Limbo& rec : shard->limbo) {
       for (const std::shared_ptr<Entry>& entry : rec.dying) {
-        // order: relaxed — same snapshot contract as the live-map walk.
-        const uint64_t pending =
-            entry->pending_hits.load(std::memory_order_relaxed);
+        const uint64_t pending = entry->PendingHits();
         metrics.hits += pending;
         metrics.assembly_ops_saved += pending * entry->assembly_cost;
       }

@@ -17,9 +17,10 @@
 // Concurrency (DESIGN.md §10): the hit path is contention-free. Each
 // shard publishes an immutable table of entries through an atomic
 // pointer; readers pin a process-wide epoch (util/epoch.h), load the
-// table, and record the hit with one relaxed fetch_add on the entry's
-// own counter — no mutex, no shared_ptr refcount traffic, no shared
-// mutable map. Writers (insert / evict / invalidate / flush) serialize
+// table, and record the hit with one relaxed fetch_add on the calling
+// thread's own cache-line stripe of the entry's hit counter — no mutex,
+// no shared_ptr refcount traffic, no shared mutable map, no write to a
+// line another reader writes. Writers (insert / evict / invalidate / flush) serialize
 // on a per-shard mutex, copy-on-write the table, and retire the old
 // version through the epoch limbo, so a reader holding a ReadHandle can
 // never observe freed memory and never blocks a writer.
@@ -72,10 +73,11 @@ struct ViewCacheOptions {
   /// shards never contend; readers never contend at all.
   uint32_t shards = 8;
   /// Per-shard-write exponential decay of entry hit weights, in (0, 1].
-  /// 1.0 = plain hit counting. Applied lazily: hits accumulate in a
-  /// lock-free per-entry counter and are folded into the decayed weight
-  /// when a writer next touches the shard (hits themselves never touch
-  /// shared decay state — that is what makes the hit path contention-free).
+  /// 1.0 = plain hit counting. Applied lazily: hits accumulate in
+  /// lock-free per-entry counters, striped so each reader thread bumps
+  /// its own cache line, and are folded into the decayed weight when a
+  /// writer next touches the shard (hits themselves never touch shared
+  /// decay state — that is what makes the hit path contention-free).
   double heat_decay = 0.98;
 };
 
@@ -198,8 +200,9 @@ class ViewCache {
 
   /// Contention-free hit path: returns an epoch-pinned view of the
   /// cached tensor, or an empty handle on a miss. A hit bumps the
-  /// entry's lock-free hit counter (folded into decayed heat and
-  /// assembly_ops_saved by the next writer / Metrics() call).
+  /// calling thread's stripe of the entry's lock-free hit counter
+  /// (summed into decayed heat and assembly_ops_saved by the next
+  /// writer, at reclaim, or by Metrics()).
   [[nodiscard]] ReadHandle LookupPinned(const ElementId& id);
 
   /// Compatibility hit path: like LookupPinned but hands out a
@@ -311,7 +314,7 @@ class ViewCache {
       Shard* shard, const ElementId& id,
       std::shared_ptr<const Tensor> shared, uint64_t assembly_cost)
       VECUBE_REQUIRES(shard->mu);
-  /// Folds an entry's pending lock-free hits into its decayed heat and
+  /// Folds an entry's striped lock-free hits into its decayed heat and
   /// the shard's persistent counters. Caller holds shard.mu.
   void FoldEntryLocked(Shard* shard, Entry* entry) const
       VECUBE_REQUIRES(shard->mu);
