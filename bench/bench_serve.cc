@@ -232,35 +232,23 @@ int main(int argc, char** argv) {
             const uint64_t hi = queries * (w + 1) / threads;
             for (uint64_t q = lo; q < hi; ++q) {
               const vecube::ElementId& view = sequence[q];
-              double cell0 = 0.0;
-              for (;;) {
-                vecube::ViewCache::LookupOutcome outcome =
-                    cache.LookupOrBegin(view);
-                if (outcome.hit) {
-                  cell0 = (*outcome.hit)[0];
-                  break;
-                }
-                if (!outcome.fill.leader()) {
-                  vecube::ViewCache::FillWait wait =
-                      cache.WaitFill(outcome.fill);
-                  if (!wait.status.ok()) continue;  // leader aborted — retry
-                  cell0 = (*wait.data)[0];
-                  break;
-                }
+              const auto fill =
+                  [&]() -> vecube::Result<vecube::ViewCache::Assembled> {
                 vecube::OpCounter ops;
-                auto data = engine.Assemble(view, &ops);
-                if (!data.ok()) {
-                  cache.AbortFill(std::move(outcome.fill));
-                  failed[w] = 1;
-                  return;
-                }
+                vecube::ViewCache::Assembled assembled;
+                VECUBE_ASSIGN_OR_RETURN(assembled.data,
+                                        engine.Assemble(view, &ops));
                 ops_by_thread[w] += ops.adds;
-                auto served = cache.CompleteFill(std::move(outcome.fill),
-                                                 std::move(data).value(),
-                                                 engine.PlanCost(view));
-                cell0 = (*served)[0];
-                break;
+                assembled.assembly_cost = engine.PlanCost(view);
+                return assembled;
+              };
+              auto served =
+                  cache.GetOrFill(view, vecube::QueryContext(), fill);
+              if (!served.ok()) {
+                failed[w] = 1;
+                return;
               }
+              const double cell0 = (**served)[0];
               sum_by_thread[w] += cell0;
             }
           });
@@ -312,9 +300,12 @@ int main(int argc, char** argv) {
       // Bit-exact check: every entry still resident matches the reference.
       uint64_t verified = 0;
       for (const auto& [id, tensor] : expected) {
-        auto cached = cache.Lookup(id);
-        if (cached == nullptr) continue;  // evicted — nothing to compare
-        if (cached->data() != tensor.data()) {
+        vecube::ViewCache::LookupOutcome cached = cache.LookupOrBegin(id);
+        if (!cached.hit) {  // evicted — nothing to compare
+          cache.AbortFill(std::move(cached.fill));
+          continue;
+        }
+        if (cached.hit->data() != tensor.data()) {
           std::fprintf(stderr, "FAIL: cached %s differs from reference\n",
                        id.ToString().c_str());
           return 1;

@@ -200,7 +200,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
 
   // make_unique cannot reach the private constructor.
   std::unique_ptr<WriteAheadLog> log(
-      new WriteAheadLog());  // vecube-lint: disable=no-naked-new
+      new WriteAheadLog());  // vecube-check: disable=no-naked-new
   log->path_ = path;
   log->shape_ = shape;
   log->sync_each_append_ = sync_each_append;

@@ -17,7 +17,7 @@
 #define VECUBE_CUBE_TENSOR_H_
 
 #include <cstdint>
-#include <new>  // vecube-lint: disable=no-naked-new (the <new> header)
+#include <new>  // vecube-check: disable=no-naked-new (the <new> header)
 #include <string>
 #include <utility>
 #include <vector>

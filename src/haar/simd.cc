@@ -76,7 +76,7 @@ const HaarVecOps* SelectAtStartup() {
   // The hook is consulted exactly once; both tables are bit-identical, so
   // this toggles scheduling, never results — determinism is preserved.
   if (internal::ParseDisableAvx2(
-          std::getenv("VECUBE_DISABLE_AVX2"))) {  // vecube-lint: disable=no-nondeterminism
+          std::getenv("VECUBE_DISABLE_AVX2"))) {  // vecube-check: disable=no-nondeterminism
     return &kScalarOps;
   }
   if (const HaarVecOps* avx2 = internal::Avx2VecOpsOrNull()) return avx2;

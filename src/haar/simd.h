@@ -18,7 +18,7 @@
 // single add/subtract/halving expression — only the schedule changes), so
 // dispatch never affects results, operation counts, or determinism.
 //
-// Intrinsics policy (enforced by tools/vecube_lint.py, rule
+// Intrinsics policy (enforced by tools/vecube_check.py, rule
 // simd-dispatch): CPU intrinsics may appear only in src/haar/simd_avx2.cc,
 // the translation unit this table dispatches into.
 

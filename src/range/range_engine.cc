@@ -1,18 +1,10 @@
 #include "range/range_engine.h"
 
-#include <optional>
 #include <vector>
 
-#include "util/failpoint.h"
 #include "util/logging.h"
 
 namespace vecube {
-
-namespace {
-/// Follower retries after leader-local aborts before the abort cause
-/// surfaces (prevents retry livelock on a repeatedly failing leader).
-constexpr uint32_t kMaxFollowerRetries = 3;
-}  // namespace
 
 RangeEngine::RangeEngine(const ElementStore* store,
                          MissingElementPolicy policy, ThreadPool* pool,
@@ -49,7 +41,6 @@ Result<double> RangeEngine::RangeSum(const RangeSpec& range,
   std::vector<uint32_t> coords(d);
   double total = 0.0;
   uint64_t terms = 0;
-  uint32_t follower_retries = 0;
   for (;;) {
     VECUBE_RETURN_NOT_OK(ctx.Check());
     for (uint32_t m = 0; m < d; ++m) {
@@ -59,9 +50,19 @@ Result<double> RangeEngine::RangeSum(const RangeSpec& range,
     ElementId id;
     VECUBE_ASSIGN_OR_RETURN(id, ElementId::Intermediate(levels, shape));
 
+    // On-demand assembly of a missing intermediate (kAssemble only).
+    const auto fill = [&]() -> Result<ViewCache::Assembled> {
+      if (stats != nullptr) ++stats->elements_missing;
+      OpCounter ops;
+      ViewCache::Assembled assembled;
+      VECUBE_ASSIGN_OR_RETURN(assembled.data,
+                              engine_.Assemble(id, &ops, &ctx));
+      if (stats != nullptr) stats->assembly_ops += ops.adds;
+      assembled.assembly_cost = engine_.PlanCost(id);
+      return assembled;
+    };
     const Tensor* element = nullptr;
-    std::shared_ptr<const Tensor> cached;      // keeps a filled answer alive
-    ViewCache::ReadHandle pinned;              // keeps a cache hit alive
+    ViewCache::Served served;  // keeps a cached element alive this step
     if (store_->Contains(id)) {
       VECUBE_ASSIGN_OR_RETURN(element, store_->Get(id));
     } else if (cache_ != nullptr &&
@@ -69,63 +70,15 @@ Result<double> RangeEngine::RangeSum(const RangeSpec& range,
       // Single-flight through the serving cache: a hit is a pinned,
       // refcount-free read scoped to this odometer step; concurrent
       // misses on the same intermediate assemble it exactly once.
-      while (element == nullptr) {
-        ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(id);
-        if (outcome.hit) {
-          pinned = std::move(outcome.hit);
-          element = pinned.get();
-          break;
-        }
-        if (!outcome.fill.leader()) {
-          ViewCache::FillWait wait = cache_->WaitFill(outcome.fill, ctx);
-          if (wait.status.ok()) {
-            cached = std::move(wait.data);
-            element = cached.get();
-            break;
-          }
-          VECUBE_RETURN_NOT_OK(ctx.Check());  // our own budget ran out
-          // Leader-local aborts are retried a bounded number of times;
-          // the element's own failure — or exhausted retries — surfaces.
-          const bool leader_local = wait.status.IsDeadlineExceeded() ||
-                                    wait.status.IsCancelled() ||
-                                    wait.status.IsUnavailable();
-          if (!leader_local || follower_retries >= kMaxFollowerRetries) {
-            return wait.status;
-          }
-          ++follower_retries;
-          cache_->RecordFollowerRetry();
-          continue;
-        }
-        if (std::optional<FailpointAction> fp =
-                Failpoints::HitWithDelay("range.fill");
-            fp.has_value() && fp->kind == FailpointAction::Kind::kError) {
-          Status injected = Status::Internal(
-              "injected fill failure (failpoint range.fill)");
-          cache_->AbortFill(std::move(outcome.fill), injected);
-          return injected;
-        }
-        if (stats != nullptr) ++stats->elements_missing;
-        OpCounter ops;
-        Result<Tensor> data = engine_.Assemble(id, &ops, &ctx);
-        if (!data.ok()) {
-          cache_->AbortFill(std::move(outcome.fill), data.status());
-          return data.status();
-        }
-        if (stats != nullptr) stats->assembly_ops += ops.adds;
-        cached = cache_->CompleteFill(std::move(outcome.fill),
-                                      std::move(data).value(),
-                                      engine_.PlanCost(id));
-        element = cached.get();
-      }
+      VECUBE_ASSIGN_OR_RETURN(served, cache_->GetOrFill(id, ctx, fill));
+      element = served.get();
     } else if (assembled_cache_.Contains(id)) {
       VECUBE_ASSIGN_OR_RETURN(element, assembled_cache_.Get(id));
     } else if (policy_ == MissingElementPolicy::kAssemble) {
-      if (stats != nullptr) ++stats->elements_missing;
-      OpCounter ops;
-      Tensor data;
-      VECUBE_ASSIGN_OR_RETURN(data, engine_.Assemble(id, &ops, &ctx));
-      if (stats != nullptr) stats->assembly_ops += ops.adds;
-      VECUBE_RETURN_NOT_OK(assembled_cache_.Put(id, std::move(data)));
+      ViewCache::Assembled assembled;
+      VECUBE_ASSIGN_OR_RETURN(assembled, fill());
+      VECUBE_RETURN_NOT_OK(
+          assembled_cache_.Put(id, std::move(assembled.data)));
       VECUBE_ASSIGN_OR_RETURN(element, assembled_cache_.Get(id));
     } else {
       return Status::NotFound("intermediate element " + id.ToString() +

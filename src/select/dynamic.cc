@@ -1,7 +1,5 @@
 #include "select/dynamic.h"
 
-#include <optional>
-
 #include "core/basis.h"
 #include "select/algorithm1.h"
 #include "select/algorithm2.h"
@@ -10,12 +8,6 @@
 #include "workload/population.h"
 
 namespace vecube {
-
-namespace {
-/// Follower retries after leader-local aborts before the abort cause
-/// surfaces (prevents retry livelock on a repeatedly failing leader).
-constexpr uint32_t kMaxFollowerRetries = 3;
-}  // namespace
 
 Result<std::unique_ptr<DynamicAssembler>> DynamicAssembler::Make(
     const CubeShape& shape, const Tensor& cube, DynamicOptions options) {
@@ -47,57 +39,18 @@ Result<Tensor> DynamicAssembler::Query(const ElementId& view, OpCounter* ops,
   if (cache_ == nullptr) {
     VECUBE_ASSIGN_OR_RETURN(answer, engine_->Assemble(view, ops, &ctx));
   } else {
-    uint32_t follower_retries = 0;
-    for (;;) {
-      ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(view);
-      if (outcome.hit) {
-        answer = *outcome.hit;
-        break;
-      }
-      if (!outcome.fill.leader()) {
-        // Another caller is assembling this view; coalesce onto its
-        // result instead of duplicating the work.
-        ViewCache::FillWait wait = cache_->WaitFill(outcome.fill, ctx);
-        if (wait.status.ok()) {
-          answer = *wait.data;
-          break;
-        }
-        VECUBE_RETURN_NOT_OK(ctx.Check());  // our own budget ran out
-        // A leader-local abort (its deadline, its cancellation, an
-        // unspecified abort) is retried a bounded number of times; the
-        // element's own failure — or exhausted retries — propagates, so
-        // a repeatedly failing leader can never spin followers forever.
-        const bool leader_local = wait.status.IsDeadlineExceeded() ||
-                                  wait.status.IsCancelled() ||
-                                  wait.status.IsUnavailable();
-        if (!leader_local || follower_retries >= kMaxFollowerRetries) {
-          return wait.status;
-        }
-        ++follower_retries;
-        cache_->RecordFollowerRetry();
-        continue;
-      }
-      if (std::optional<FailpointAction> fp =
-              Failpoints::HitWithDelay("dynamic.fill");
-          fp.has_value() && fp->kind == FailpointAction::Kind::kError) {
-        Status injected = Status::Internal(
-            "injected fill failure (failpoint dynamic.fill)");
-        cache_->AbortFill(std::move(outcome.fill), injected);
-        return injected;
-      }
-      Result<Tensor> assembled = engine_->Assemble(view, ops, &ctx);
-      if (!assembled.ok()) {
-        cache_->AbortFill(std::move(outcome.fill), assembled.status());
-        return assembled.status();
-      }
+    const auto fill = [&]() -> Result<ViewCache::Assembled> {
+      ViewCache::Assembled assembled;
+      VECUBE_ASSIGN_OR_RETURN(assembled.data,
+                              engine_->Assemble(view, ops, &ctx));
       // PlanCost is memoized from the assembly that just ran — a table
       // lookup, and exactly the ops a future hit will save.
-      std::shared_ptr<const Tensor> served = cache_->CompleteFill(
-          std::move(outcome.fill), std::move(assembled).value(),
-          engine_->PlanCost(view));
-      answer = *served;
-      break;
-    }
+      assembled.assembly_cost = engine_->PlanCost(view);
+      return assembled;
+    };
+    ViewCache::Served served;
+    VECUBE_ASSIGN_OR_RETURN(served, cache_->GetOrFill(view, ctx, fill));
+    answer = *served;
   }
   access_log_.Record(view);
   ++queries_served_;

@@ -1,26 +1,10 @@
 #include "serve/serving.h"
 
-#include <algorithm>
+#include <chrono>
 #include <string>
 #include <utility>
 
-#include "util/failpoint.h"
-#include "util/sync.h"
-
 namespace vecube {
-
-namespace {
-
-/// True for abort causes local to the leader (its deadline, its
-/// cancellation, or an unspecified abort) — the element itself may be
-/// fine, so a follower with budget left should retry. Element-local
-/// failures (Incomplete, Internal, ...) propagate instead.
-bool LeaderLocalAbort(const Status& status) {
-  return status.IsDeadlineExceeded() || status.IsCancelled() ||
-         status.IsUnavailable();
-}
-
-}  // namespace
 
 ElementServer::ElementServer(AssemblyEngine* engine,
                              const ElementStore* store, ViewCache* cache,
@@ -28,9 +12,7 @@ ElementServer::ElementServer(AssemblyEngine* engine,
     : engine_(engine),
       store_(store),
       cache_(cache),
-      options_(std::move(options)) {
-  if (options_.ops_per_ms == 0) options_.ops_per_ms = 1;
-}
+      options_(std::move(options)) {}
 
 uint64_t ElementServer::OpsBudget(const QueryContext& ctx) const {
   if (ctx.ops_budget() != 0) return ctx.ops_budget();
@@ -40,7 +22,7 @@ uint64_t ElementServer::OpsBudget(const QueryContext& ctx) const {
   const uint64_t micros = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(remaining)
           .count());
-  return micros * options_.ops_per_ms / 1000;
+  return micros * kOpsPerMs / 1000;
 }
 
 Status ElementServer::Fail(Status status) {
@@ -51,118 +33,39 @@ Status ElementServer::Fail(Status status) {
   return status;
 }
 
-void ElementServer::Backoff(const QueryContext& ctx) const {
-  const QueryContext::Clock::duration pause =
-      std::min<QueryContext::Clock::duration>(options_.follower_backoff,
-                                              ctx.remaining());
-  if (pause <= QueryContext::Clock::duration::zero()) return;
-  // A private, never-notified CondVar: a bounded sleep that stays inside
-  // the annotated sync primitives (and under the deadline).
-  Mutex m;
-  CondVar cv;
-  MutexLock lock(m);
-  cv.WaitFor(m, pause);
-}
-
 Result<QueryAnswer> ElementServer::Serve(const ElementId& id,
                                          const QueryContext& ctx) {
   if (Status live = ctx.Check(); !live.ok()) return Fail(std::move(live));
-  if (cache_ == nullptr) return FillDirect(id, ctx);
-
-  uint32_t retries = 0;
-  for (;;) {
-    ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(id);
-    if (outcome.hit) {
-      QueryAnswer answer;
-      answer.data = *outcome.hit;
-      return answer;
-    }
-    if (outcome.fill.leader()) {
-      return FillAsLeader(id, std::move(outcome.fill), ctx);
-    }
-    ViewCache::FillWait wait = cache_->WaitFill(outcome.fill, ctx);
-    if (wait.status.ok()) {
-      QueryAnswer answer;
-      answer.data = *wait.data;
-      return answer;
-    }
-    if (Status live = ctx.Check(); !live.ok()) {
-      // Our own budget ran out while waiting (distinct from the
-      // leader's — the leader may still complete for others).
-      return Fail(std::move(live));
-    }
-    if (!LeaderLocalAbort(wait.status)) {
-      // The element itself failed (Incomplete, injected fill error,
-      // verify failure): retrying would fail identically.
-      return wait.status;
-    }
-    if (retries >= options_.max_follower_retries) {
-      // Give up before this turns into a retry livelock. With
-      // degradation allowed there is still a bounded answer to give.
-      if (AllowDegraded(ctx)) return Degrade(id, OpsBudget(ctx), ctx);
-      return Fail(std::move(wait.status));
-    }
-    ++retries;
-    cache_->RecordFollowerRetry();
-    Backoff(ctx);
-  }
-}
-
-Result<QueryAnswer> ElementServer::FillAsLeader(const ElementId& id,
-                                                ViewCache::FillTicket ticket,
-                                                const QueryContext& ctx) {
-  // Chaos hook: stall the leader (kDelay — followers keep waiting or
-  // time out) or fail the fill outright (kError).
-  if (std::optional<FailpointAction> fp =
-          Failpoints::HitWithDelay("serve.fill");
-      fp.has_value() && fp->kind == FailpointAction::Kind::kError) {
-    Status injected =
-        Status::Internal("injected fill failure (failpoint serve.fill)");
-    cache_->AbortFill(std::move(ticket), injected);
-    return injected;
-  }
-  const uint64_t cost = engine_->PlanCost(id);
-  if (cost == kInfiniteCost) {
-    Status incomplete = Status::Incomplete(
-        "stored element set cannot reconstruct " + id.ToString());
-    cache_->AbortFill(std::move(ticket), incomplete);
-    return incomplete;
-  }
-  const uint64_t budget = OpsBudget(ctx);
-  if (cost > budget) {
-    // Not starting an assembly that cannot finish in time. The abort
-    // cause is leader-local: followers with looser budgets retry and
-    // one of them becomes the next leader.
-    Status cause = Status::DeadlineExceeded(
-        "plan cost " + std::to_string(cost) + " exceeds op budget " +
-        std::to_string(budget) + " for " + id.ToString());
-    cache_->AbortFill(std::move(ticket), cause);
-    if (AllowDegraded(ctx)) return Degrade(id, budget, ctx);
-    return Fail(std::move(cause));
-  }
-  OpCounter ops;
-  Result<Tensor> assembled = engine_->Assemble(id, &ops, &ctx);
-  if (!assembled.ok()) {
-    cache_->AbortFill(std::move(ticket), assembled.status());
-    return Fail(assembled.status());
-  }
-  if (options_.verify_fill) {
-    if (Status verified = options_.verify_fill(id, ops.adds);
-        !verified.ok()) {
-      cache_->AbortFill(std::move(ticket), verified);
-      return verified;
-    }
-  }
-  std::shared_ptr<const Tensor> served = cache_->CompleteFill(
-      std::move(ticket), std::move(assembled).value(), cost);
   QueryAnswer answer;
-  answer.data = *served;
-  answer.ops = ops.adds;
-  return answer;
+  const auto fill = [&] { return AssembleWithinBudget(id, ctx, &answer.ops); };
+  Status failed;
+  if (cache_ == nullptr) {
+    Result<ViewCache::Assembled> assembled = fill();
+    if (assembled.ok()) {
+      answer.data = std::move(assembled->data);
+      return answer;
+    }
+    failed = assembled.status();
+  } else {
+    Result<ViewCache::Served> served = cache_->GetOrFill(id, ctx, fill);
+    if (served.ok()) {
+      answer.data = **served;
+      return answer;
+    }
+    failed = served.status();
+  }
+  // A leader-local cause while our own context is still live: our plan
+  // was over budget, or we followed leaders that kept aborting. With
+  // degradation allowed there is still a bounded answer to give.
+  if (AllowDegraded(ctx) && ViewCache::IsLeaderLocalAbort(failed) &&
+      ctx.Check().ok()) {
+    return Degrade(id, OpsBudget(ctx), ctx);
+  }
+  return Fail(std::move(failed));
 }
 
-Result<QueryAnswer> ElementServer::FillDirect(const ElementId& id,
-                                              const QueryContext& ctx) {
+Result<ViewCache::Assembled> ElementServer::AssembleWithinBudget(
+    const ElementId& id, const QueryContext& ctx, uint64_t* ops) {
   const uint64_t cost = engine_->PlanCost(id);
   if (cost == kInfiniteCost) {
     return Status::Incomplete("stored element set cannot reconstruct " +
@@ -170,19 +73,23 @@ Result<QueryAnswer> ElementServer::FillDirect(const ElementId& id,
   }
   const uint64_t budget = OpsBudget(ctx);
   if (cost > budget) {
-    if (AllowDegraded(ctx)) return Degrade(id, budget, ctx);
-    return Fail(Status::DeadlineExceeded(
+    // Not starting an assembly that cannot finish in time. The cause is
+    // leader-local: followers with looser budgets retry and one of them
+    // becomes the next leader.
+    return Status::DeadlineExceeded(
         "plan cost " + std::to_string(cost) + " exceeds op budget " +
-        std::to_string(budget) + " for " + id.ToString()));
+        std::to_string(budget) + " for " + id.ToString());
   }
-  OpCounter ops;
-  QueryAnswer answer;
-  VECUBE_ASSIGN_OR_RETURN(answer.data, engine_->Assemble(id, &ops, &ctx));
+  OpCounter counter;
+  ViewCache::Assembled assembled;
+  VECUBE_ASSIGN_OR_RETURN(assembled.data,
+                          engine_->Assemble(id, &counter, &ctx));
   if (options_.verify_fill) {
-    VECUBE_RETURN_NOT_OK(options_.verify_fill(id, ops.adds));
+    VECUBE_RETURN_NOT_OK(options_.verify_fill(id, counter.adds));
   }
-  answer.ops = ops.adds;
-  return answer;
+  assembled.assembly_cost = cost;
+  *ops = counter.adds;
+  return assembled;
 }
 
 Result<QueryAnswer> ElementServer::Degrade(const ElementId& id,

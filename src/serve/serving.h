@@ -10,19 +10,19 @@
 //     completion;
 //   * budget gating — before assembling, the Procedure-3 plan cost is
 //     compared against the query's op budget (explicit, or derived from
-//     the remaining wall time via `ops_per_ms`); plans that cannot
-//     finish in time are not started;
+//     the remaining wall time at kOpsPerMs); plans that cannot finish in
+//     time are not started;
 //   * graceful degradation — when the budget falls short and the query
 //     opted in, the answer comes from ApproxAssembler: an approximate
 //     tensor plus a sound L2 error bound. Degraded answers are NEVER
 //     cached (the fill is aborted first) and never served to other
 //     queries;
-//   * bounded follower retries — when a fill leader aborts for a
-//     leader-local reason (its own deadline/cancellation, or an
-//     unspecified abort), followers retry a bounded number of times
-//     with a short backoff; an element-local failure (Incomplete,
-//     injected fill error) propagates immediately. Either way repeated
-//     leader failures surface an error instead of a retry livelock.
+//   * bounded follower retries — ViewCache::GetOrFill's: when a fill
+//     leader aborts for a leader-local reason (its own deadline or
+//     cancellation, or an unspecified abort), followers retry a bounded
+//     number of times with a short backoff; an element-local failure
+//     (Incomplete, injected fill error) propagates immediately. A
+//     follower that runs out of retries degrades if it opted in.
 //
 // Every query resolves to exactly one of: an exact answer, a degraded
 // answer (with its bound), or a non-OK Status — and every wait on the
@@ -31,7 +31,6 @@
 #ifndef VECUBE_SERVE_SERVING_H_
 #define VECUBE_SERVE_SERVING_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,18 +57,14 @@ struct QueryAnswer {
   uint64_t ops = 0;
 };
 
+/// Assembly throughput estimate used to convert remaining wall time
+/// into an op budget when the context carries no explicit one.
+inline constexpr uint64_t kOpsPerMs = 256 * 1024;
+
 struct ServeQueryOptions {
   /// Server-wide degradation default; a query can also opt in per-call
   /// via QueryContext::set_allow_degraded.
   bool allow_degraded = false;
-  /// Assembly throughput estimate used to convert remaining wall time
-  /// into an op budget when the context carries no explicit one.
-  uint64_t ops_per_ms = 256 * 1024;
-  /// Follower retries after leader-local aborts before giving up.
-  uint32_t max_follower_retries = 3;
-  /// Pause between follower retries (clamped to the query's remaining
-  /// deadline) so a rapidly re-aborting leader is not hammered.
-  std::chrono::milliseconds follower_backoff{1};
   /// Optional hook run on a leader's assembled tensor before it is
   /// published (OlapSession wires its op-count invariant check here).
   /// A non-OK return aborts the fill with that status.
@@ -92,7 +87,7 @@ class ElementServer {
                             const QueryContext& ctx = QueryContext());
 
   /// The op budget `ctx` implies (explicit override, else remaining
-  /// time × ops_per_ms, else effectively unlimited).
+  /// time × kOpsPerMs, else effectively unlimited).
   [[nodiscard]] uint64_t OpsBudget(const QueryContext& ctx) const;
 
   /// Drops the degradation helper's precomputed norms; call after the
@@ -107,14 +102,14 @@ class ElementServer {
   /// Records terminal deadline/cancellation failures and passes the
   /// status through.
   Status Fail(Status status);
-  Result<QueryAnswer> FillAsLeader(const ElementId& id,
-                                   ViewCache::FillTicket ticket,
-                                   const QueryContext& ctx);
-  Result<QueryAnswer> FillDirect(const ElementId& id,
-                                 const QueryContext& ctx);
+  /// The fill work: budget-gated exact assembly plus the verify_fill
+  /// hook. A plan over budget fails with kDeadlineExceeded before any
+  /// assembly. `ops` receives the ops spent on success.
+  Result<ViewCache::Assembled> AssembleWithinBudget(const ElementId& id,
+                                                    const QueryContext& ctx,
+                                                    uint64_t* ops);
   Result<QueryAnswer> Degrade(const ElementId& id, uint64_t budget,
                               const QueryContext& ctx);
-  void Backoff(const QueryContext& ctx) const;
 
   AssemblyEngine* engine_;
   const ElementStore* store_;

@@ -5,7 +5,11 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <optional>
 #include <utility>
+
+#include "util/failpoint.h"
+#include "util/logging.h"
 
 namespace vecube {
 
@@ -16,6 +20,11 @@ namespace {
 // concurrent hits on one hot entry never write a line another core is
 // writing. A writer sums the stripes; the count stays exact.
 constexpr uint32_t kHitStripes = 8;
+
+// GetOrFill's follower retry bound after leader-local aborts, and the
+// pause between retries (clamped to the waiter's deadline).
+constexpr uint32_t kMaxFollowerRetries = 3;
+constexpr std::chrono::milliseconds kFollowerBackoff{1};
 
 struct alignas(64) HitStripe {
   std::atomic<uint64_t> count{0};
@@ -127,10 +136,9 @@ struct ViewCache::Shard {
   /// pin (lock-free, so not VECUBE_GUARDED_BY). Writers: replaced only
   /// via PublishLocked while holding mu.
   std::atomic<const Table*> live{nullptr};
-  /// Misses are recorded on the (lock-free) read path.
-  std::atomic<uint64_t> misses{0};
-
   uint64_t generation VECUBE_GUARDED_BY(mu) = 0;   ///< write generation
+  /// Appointed fill leaders (a hit or a coalesced wait is not a miss).
+  uint64_t misses VECUBE_GUARDED_BY(mu) = 0;
   /// Bumped by InvalidateAll; stales in-flight fills.
   uint64_t flush_epoch VECUBE_GUARDED_BY(mu) = 0;
   uint64_t folded_hits VECUBE_GUARDED_BY(mu) = 0;
@@ -177,9 +185,7 @@ ViewCache::Shard& ViewCache::ShardFor(const ElementId& id) {
   return *shards_[ElementIdHash{}(id) % shards_.size()];
 }
 
-ViewCache::ReadHandle ViewCache::FindPinned(
-    const ElementId& id, bool count_miss,
-    std::shared_ptr<const Tensor>* out_shared) {
+ViewCache::ReadHandle ViewCache::FindPinned(const ElementId& id) {
   Shard& shard = ShardFor(id);
   EpochDomain::Pin pin = EpochDomain::Acquire();
   // order: acquire — pairs with the seq_cst publish in PublishLocked so
@@ -187,33 +193,50 @@ ViewCache::ReadHandle ViewCache::FindPinned(
   // pin taken above keeps the loaded version out of reclamation.
   const Table* table = shard.live.load(std::memory_order_acquire);
   auto it = table->map.find(id);
-  if (it == table->map.end()) {
-    // order: relaxed — statistics counter; read under shard.mu only by
-    // Metrics(), which tolerates a racing increment either side.
-    if (count_miss) shard.misses.fetch_add(1, std::memory_order_relaxed);
-    return ReadHandle();
-  }
+  if (it == table->map.end()) return ReadHandle();
   Entry* entry = it->second.get();
   entry->RecordHit();
-  if (out_shared != nullptr) *out_shared = entry->data;
   return ReadHandle(std::move(pin), entry->data.get());
 }
 
-ViewCache::ReadHandle ViewCache::LookupPinned(const ElementId& id) {
-  return FindPinned(id, /*count_miss=*/true, nullptr);
+Status ViewCache::FillFailpoint() {
+  if (std::optional<FailpointAction> fp =
+          Failpoints::HitWithDelay("serve.fill");
+      fp.has_value() && fp->kind == FailpointAction::Kind::kError) {
+    return Status::Internal("injected fill failure (failpoint serve.fill)");
+  }
+  return Status::OK();
 }
 
-std::shared_ptr<const Tensor> ViewCache::Lookup(const ElementId& id) {
-  // The shared_ptr copy happens under the probe's pin (the entry and its
-  // control block are alive), after which the handle itself can drop.
-  std::shared_ptr<const Tensor> shared;
-  FindPinned(id, /*count_miss=*/true, &shared);
-  return shared;
+Status ViewCache::RetryAfterAbort(const Status& cause, uint32_t retries,
+                                  const QueryContext& ctx) {
+  // Our own budget ran out while waiting (distinct from the leader's —
+  // the leader may still complete for others).
+  VECUBE_RETURN_NOT_OK(ctx.Check());
+  // An element-local failure would fail identically on retry; a leader
+  // that keeps aborting surfaces its cause instead of a retry livelock.
+  if (!IsLeaderLocalAbort(cause) || retries >= kMaxFollowerRetries) {
+    return cause;
+  }
+  RecordFollowerRetry();
+  const QueryContext::Clock::duration pause =
+      std::min<QueryContext::Clock::duration>(kFollowerBackoff,
+                                              ctx.remaining());
+  if (pause > QueryContext::Clock::duration::zero()) {
+    // A private, never-notified CondVar: a bounded sleep that stays
+    // inside the annotated sync primitives (and under the deadline), so
+    // a rapidly re-aborting leader is not hammered.
+    Mutex m;
+    CondVar cv;
+    MutexLock lock(m);
+    cv.WaitFor(m, pause);
+  }
+  return Status::OK();
 }
 
 ViewCache::LookupOutcome ViewCache::LookupOrBegin(const ElementId& id) {
   LookupOutcome out;
-  out.hit = FindPinned(id, /*count_miss=*/false, nullptr);
+  out.hit = FindPinned(id);
   if (out.hit) return out;
 
   Shard& shard = ShardFor(id);
@@ -241,8 +264,7 @@ ViewCache::LookupOutcome ViewCache::LookupOrBegin(const ElementId& id) {
   }
   auto flight = std::make_shared<Flight>();
   shard.flights.emplace(id, flight);
-  // order: relaxed — statistics counter, as in FindPinned.
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  ++shard.misses;
   out.fill.flight_ = std::move(flight);
   out.fill.id_ = id;
   out.fill.flush_epoch_ = shard.flush_epoch;
@@ -343,17 +365,6 @@ ViewCache::FillWait ViewCache::WaitFill(const FillTicket& ticket,
   return FillWait{std::move(result), Status::OK()};
 }
 
-std::shared_ptr<const Tensor> ViewCache::Insert(const ElementId& id,
-                                                Tensor data,
-                                                uint64_t assembly_cost) {
-  auto shared = std::make_shared<const Tensor>(std::move(data));
-  Shard& shard = ShardFor(id);
-  MutexLock lock(shard.mu);
-  // The caller assembled this tensor whether or not it gets retained.
-  shard.ops_executed += assembly_cost;
-  return InsertLocked(&shard, id, std::move(shared), assembly_cost);
-}
-
 std::shared_ptr<const Tensor> ViewCache::InsertLocked(
     Shard* shard, const ElementId& id, std::shared_ptr<const Tensor> shared,
     uint64_t assembly_cost) {
@@ -361,16 +372,10 @@ std::shared_ptr<const Tensor> ViewCache::InsertLocked(
   // order: relaxed — we hold shard->mu, the only context that stores
   // `live`; the load cannot race a publish.
   const Table* live = shard->live.load(std::memory_order_relaxed);
-  auto it = live->map.find(id);
-  if (it != live->map.end()) {
-    // First writer wins: assembly is deterministic, so a concurrent
-    // duplicate insert carries bit-identical data; keep the shared copy
-    // (and count the duplicate as a touch).
-    Entry* entry = it->second.get();
-    FoldEntryLocked(shard, entry);
-    entry->folded_heat += 1.0;
-    return entry->data;
-  }
+  // A leader is appointed only while `id` is neither resident nor in
+  // flight, and its flight leaves the map under this same lock, so no
+  // second fill of one epoch can find `id` resident.
+  VECUBE_DCHECK(live->map.find(id) == live->map.end());
   const uint64_t bytes = shared->size() * sizeof(double);
   if (bytes > shard_capacity_bytes_) {
     ++shard->rejected_inserts;
@@ -487,24 +492,6 @@ void ViewCache::ReclaimLocked(Shard* shard) const {
   }
 }
 
-void ViewCache::Invalidate(const ElementId& id) {
-  Shard& shard = ShardFor(id);
-  MutexLock lock(shard.mu);
-  // order: relaxed — mu-serialized against every publish.
-  const Table* live = shard.live.load(std::memory_order_relaxed);
-  auto it = live->map.find(id);
-  if (it == live->map.end()) return;
-  ++shard.generation;
-  auto next = std::make_unique<Table>();
-  next->map = live->map;
-  next->bytes = live->bytes - it->second->bytes;
-  std::vector<std::shared_ptr<Entry>> removed;
-  removed.push_back(it->second);
-  next->map.erase(id);
-  ++shard.invalidations;
-  PublishLocked(&shard, std::move(next), std::move(removed));
-}
-
 uint64_t ViewCache::InvalidateAll() {
   uint64_t dropped = 0;
   for (auto& shard : shards_) {
@@ -540,9 +527,7 @@ ServeMetrics ViewCache::Metrics() const {
       follower_retries_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    // order: relaxed — point-in-time statistics snapshot; a racing
-    // increment lands in this read or the next, never lost.
-    metrics.misses += shard->misses.load(std::memory_order_relaxed);
+    metrics.misses += shard->misses;
     metrics.hits += shard->folded_hits;
     metrics.coalesced_hits += shard->coalesced_hits;
     metrics.insertions += shard->insertions;

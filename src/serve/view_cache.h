@@ -20,13 +20,15 @@
 // table, and record the hit with one relaxed fetch_add on the calling
 // thread's own cache-line stripe of the entry's hit counter — no mutex,
 // no shared_ptr refcount traffic, no shared mutable map, no write to a
-// line another reader writes. Writers (insert / evict / invalidate / flush) serialize
+// line another reader writes. Writers (fill / evict / flush) serialize
 // on a per-shard mutex, copy-on-write the table, and retire the old
 // version through the epoch limbo, so a reader holding a ReadHandle can
 // never observe freed memory and never blocks a writer.
 //
 // Misses are single-flight: concurrent misses on one ElementId coalesce
-// onto a single assembly. LookupOrBegin() returns either a hit, a leader
+// onto a single assembly. GetOrFill() runs the whole protocol for every
+// serving layer (element, dynamic and range queries); its steps are
+// public for the benches. LookupOrBegin() returns either a hit, a leader
 // ticket (the caller assembles and publishes via CompleteFill), or a
 // follower ticket (WaitFill blocks until the leader finishes). The
 // leader's ticket carries the shard's flush epoch from before the
@@ -55,6 +57,7 @@
 #include "cube/tensor.h"
 #include "util/epoch.h"
 #include "util/query_context.h"
+#include "util/result.h"
 #include "util/status.h"
 #include "util/sync.h"
 
@@ -198,17 +201,61 @@ class ViewCache {
     FillTicket fill;
   };
 
-  /// Contention-free hit path: returns an epoch-pinned view of the
-  /// cached tensor, or an empty handle on a miss. A hit bumps the
-  /// calling thread's stripe of the entry's lock-free hit counter
-  /// (summed into decayed heat and assembly_ops_saved by the next
-  /// writer, at reclaim, or by Metrics()).
-  [[nodiscard]] ReadHandle LookupPinned(const ElementId& id);
+  /// The leader's work product for GetOrFill: the assembled tensor and
+  /// its Procedure-3 cost T_n (what every later hit saves).
+  struct Assembled {
+    Tensor data;
+    uint64_t assembly_cost = 0;
+  };
 
-  /// Compatibility hit path: like LookupPinned but hands out a
-  /// shared_ptr (one refcount bump; the handle may outlive the cache
-  /// entry and be held indefinitely). Null on a miss.
-  std::shared_ptr<const Tensor> Lookup(const ElementId& id);
+  /// What GetOrFill resolved to: an epoch-pinned hit (no refcount
+  /// traffic; destroy it on the calling thread, as a ReadHandle) or
+  /// shared ownership of a completed fill — the caller's own, or the
+  /// leader's it coalesced onto.
+  class Served {
+   public:
+    Served() noexcept = default;
+    explicit Served(ReadHandle hit) noexcept : hit_(std::move(hit)) {}
+    explicit Served(std::shared_ptr<const Tensor> filled) noexcept
+        : filled_(std::move(filled)) {}
+
+    [[nodiscard]] const Tensor* get() const {
+      return hit_ ? hit_.get() : filled_.get();
+    }
+    const Tensor& operator*() const { return *get(); }
+
+   private:
+    ReadHandle hit_;
+    std::shared_ptr<const Tensor> filled_;
+  };
+
+  /// The single-flight read every serving layer goes through. A hit
+  /// returns the pinned tensor. On a miss the first caller per id becomes
+  /// the leader: it runs `fill` (any callable returning
+  /// Result<Assembled>) and publishes the tensor via CompleteFill, or
+  /// aborts the flight with fill's error. Concurrent callers wait on the
+  /// leader (bounded by `ctx`) and share its answer. When the leader
+  /// aborts for a leader-local cause (IsLeaderLocalAbort), a waiter
+  /// retries up to 3 times, pausing 1 ms (clamped to its deadline)
+  /// between attempts, then surfaces the cause; any other cause
+  /// propagates at once, and `ctx` expiring surfaces ctx's own status.
+  /// The "serve.fill" failpoint fires on the leader path before `fill`
+  /// (kDelay stalls the leader; kError aborts the fill).
+  template <typename Fill>
+  Result<Served> GetOrFill(const ElementId& id, const QueryContext& ctx,
+                           Fill&& fill);
+
+  /// True for abort causes local to a fill leader — its deadline, its
+  /// cancellation, or an unspecified abort: the element itself may be
+  /// fine, so a waiter with budget left retries. Element-local failures
+  /// (Incomplete, Internal, ...) are not.
+  [[nodiscard]] static bool IsLeaderLocalAbort(const Status& status) {
+    return status.IsDeadlineExceeded() || status.IsCancelled() ||
+           status.IsUnavailable();
+  }
+
+  // The protocol's steps, driven by GetOrFill. They stay public for the
+  // benches that time or trace each step separately.
 
   /// Single-flight entry point: a hit returns a pinned handle; the first
   /// concurrent miss per id returns a leader ticket (the caller must
@@ -250,19 +297,6 @@ class ViewCache {
   FillWait WaitFill(const FillTicket& ticket,
                     const QueryContext& ctx = QueryContext());
 
-  /// Caches `data` for `id` with its Procedure-3 assembly cost and
-  /// returns a shared handle to it (also when the entry is too large to
-  /// retain — the caller can still serve from the returned pointer).
-  /// If `id` is already resident the existing tensor is kept (first
-  /// writer wins; concurrent assemblies of one element are bit-identical
-  /// by determinism) and returned. Evicts minimum-score entries in the
-  /// target shard until the new entry fits.
-  std::shared_ptr<const Tensor> Insert(const ElementId& id, Tensor data,
-                                       uint64_t assembly_cost);
-
-  /// Drops one entry if resident.
-  void Invalidate(const ElementId& id);
-
   /// Wholesale flush — the delta / reconfiguration hook. Returns the
   /// number of entries dropped. Bumps every shard's flush epoch so
   /// in-flight fills that began before the flush cannot re-insert their
@@ -299,17 +333,29 @@ class ViewCache {
 
  private:
   Shard& ShardFor(const ElementId& id);
-  /// Fast-path probe shared by Lookup/LookupPinned/LookupOrBegin.
-  /// `count_miss` controls whether a miss ticks the shard miss counter
-  /// (LookupOrBegin counts the miss only when a leader is appointed).
-  /// When `out_shared` is non-null a hit also copies the entry's owning
-  /// pointer into it (the compat Lookup path; done under the pin, so the
-  /// control block is alive).
-  ReadHandle FindPinned(const ElementId& id, bool count_miss,
-                        std::shared_ptr<const Tensor>* out_shared);
-  /// Shared retain path for Insert and CompleteFill: dedup (first writer
-  /// wins), oversized rejection, eviction, COW publish. Returns the
-  /// tensor to serve (the retained one on dedup). Caller holds shard.mu.
+  /// The lock-free hit path: an epoch-pinned view of the cached tensor
+  /// (bumping the calling thread's stripe of its hit counter), or an
+  /// empty handle on a miss. LookupOrBegin's first probe.
+  ReadHandle FindPinned(const ElementId& id);
+  /// GetOrFill's miss path: leads (`ticket` is a leader's) or waits,
+  /// then retries as GetOrFill documents. Kept out of line so callers
+  /// inline only the hit probe: with the whole loop inlined into
+  /// ElementServer::Serve, the serve_hot benchmark's p99 rose from
+  /// 27-36 us to 44-55 us (GCC 12 -O3, 4-vCPU Xeon VM).
+  template <typename Fill>
+  [[gnu::noinline]] Result<Served> FillOrWait(const ElementId& id,
+                                              const QueryContext& ctx,
+                                              Fill& fill, FillTicket ticket);
+  /// The "serve.fill" failpoint: the injected failure when armed with
+  /// kError (after stalling when armed with kDelay), else OK.
+  static Status FillFailpoint();
+  /// A follower's wait ended in `cause`: OK to retry (after recording the
+  /// retry and pausing), else the status to surface — ctx's own when it
+  /// expired, otherwise `cause`.
+  Status RetryAfterAbort(const Status& cause, uint32_t retries,
+                         const QueryContext& ctx);
+  /// CompleteFill's retain path: oversized rejection, eviction, COW
+  /// publish. Returns the tensor to serve. Caller holds shard.mu.
   std::shared_ptr<const Tensor> InsertLocked(
       Shard* shard, const ElementId& id,
       std::shared_ptr<const Tensor> shared, uint64_t assembly_cost)
@@ -346,6 +392,42 @@ class ViewCache {
   std::atomic<uint64_t> degraded_{0};
   std::atomic<uint64_t> follower_retries_{0};
 };
+
+template <typename Fill>
+Result<ViewCache::Served> ViewCache::GetOrFill(const ElementId& id,
+                                               const QueryContext& ctx,
+                                               Fill&& fill) {
+  LookupOutcome outcome = LookupOrBegin(id);
+  if (outcome.hit) return Served(std::move(outcome.hit));
+  return FillOrWait(id, ctx, fill, std::move(outcome.fill));
+}
+
+template <typename Fill>
+Result<ViewCache::Served> ViewCache::FillOrWait(const ElementId& id,
+                                                const QueryContext& ctx,
+                                                Fill& fill,
+                                                FillTicket ticket) {
+  for (uint32_t retries = 0;; ++retries) {
+    if (ticket.leader()) {
+      Status injected = FillFailpoint();
+      Result<Assembled> assembled =
+          injected.ok() ? fill() : Result<Assembled>(std::move(injected));
+      if (!assembled.ok()) {
+        AbortFill(std::move(ticket), assembled.status());
+        return assembled.status();
+      }
+      return Served(CompleteFill(std::move(ticket),
+                                 std::move(assembled->data),
+                                 assembled->assembly_cost));
+    }
+    FillWait wait = WaitFill(ticket, ctx);
+    if (wait.status.ok()) return Served(std::move(wait.data));
+    VECUBE_RETURN_NOT_OK(RetryAfterAbort(wait.status, retries, ctx));
+    LookupOutcome outcome = LookupOrBegin(id);
+    if (outcome.hit) return Served(std::move(outcome.hit));
+    ticket = std::move(outcome.fill);
+  }
+}
 
 }  // namespace vecube
 

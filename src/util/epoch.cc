@@ -9,7 +9,7 @@ EpochDomain& EpochDomain::Instance() {
   // order-dependent reader, so the domain is constructed once and never
   // destroyed.
   static EpochDomain* const kDomain =
-      new EpochDomain();  // vecube-lint: disable=no-naked-new
+      new EpochDomain();  // vecube-check: disable=no-naked-new
   return *kDomain;
 }
 
@@ -51,7 +51,7 @@ EpochDomain::Slot* EpochDomain::LocalSlot() {
   }
   // Registry nodes are immortal by design: writers scan the list without
   // coordinating with thread exit, so nodes must never be deallocated.
-  Slot* fresh = new Slot();  // vecube-lint: disable=no-naked-new
+  Slot* fresh = new Slot();  // vecube-check: disable=no-naked-new
   // order: relaxed — the slot is not reachable by any other thread until
   // the release CAS below publishes it.
   fresh->in_use.store(true, std::memory_order_relaxed);

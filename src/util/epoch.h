@@ -1,6 +1,6 @@
 // Epoch-based reclamation for read-mostly published data structures.
 //
-// The serving hot path (ViewCache::LookupPinned) must hand out pointers
+// The serving hot path (ViewCache::FindPinned) must hand out pointers
 // into shared immutable tables without taking a lock or bumping a shared
 // reference count — either one turns a read-dominated workload into a
 // cache-line ping-pong match between cores. The classic answer is

@@ -14,7 +14,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -23,12 +25,15 @@
 #include "core/store.h"
 #include "cube/synthetic.h"
 #include "cube/tensor.h"
+#include "range/range_engine.h"
+#include "select/dynamic.h"
 #include "serve/admission.h"
 #include "serve/serving.h"
 #include "serve/view_cache.h"
 #include "util/failpoint.h"
 #include "util/query_context.h"
 #include "util/rng.h"
+#include "view_cache_probe.h"
 
 namespace vecube {
 namespace {
@@ -148,8 +153,8 @@ TEST(ServeChaosTest, FollowerDeadlineFiresWhileLeaderIsStalled) {
   const ServeMetrics metrics = cache.Metrics();
   EXPECT_GE(metrics.deadline_exceeded, 1u);
   // The leader's late answer is cached and exact for the next caller.
-  auto hit = cache.Lookup(id);
-  ASSERT_NE(hit, nullptr);
+  auto hit = Peek(cache, id);
+  ASSERT_TRUE(hit);
   AssemblyEngine reference(&fixture.store);
   auto exact = reference.Assemble(id);
   ASSERT_TRUE(exact.ok());
@@ -246,6 +251,241 @@ TEST(ServeChaosTest, RepeatedLeaderAbortsDoNotLivelockFollowers) {
   auto exact = reference.Assemble(id);
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(after->data.data(), exact->data());
+}
+
+// ---------------------------------------------------------------------------
+// The same single-flight loop (ViewCache::GetOrFill) behind dynamic and
+// range queries: "serve.fill" chaos reaches them too. DynamicAssembler and
+// OlapSession are single-caller objects, so concurrent waiters are built
+// the way sessions build concurrent serving: one RangeEngine per worker
+// over one store, all sharing one ViewCache.
+
+// An aligned 4x4 block of the 8x8 fixture: exactly one intermediate
+// element, which a cube-only store has to assemble.
+RangeSpec MissingIntermediateRange(const CubeShape& shape) {
+  auto range = RangeSpec::Make({4, 0}, {4, 4}, shape);
+  EXPECT_TRUE(range.ok());
+  return *range;
+}
+
+TEST(ServeChaosTest, InjectedFillErrorFailsDynamicAndRangeLeaders) {
+  FailpointGuard guard;
+  auto shape = CubeShape::Make({8, 8});
+  ASSERT_TRUE(shape.ok());
+  Rng rng(41);
+  auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
+  ASSERT_TRUE(cube.ok());
+  FailpointAction error;
+  error.kind = FailpointAction::Kind::kError;
+
+  DynamicOptions dynamic_options;
+  dynamic_options.cache.enabled = true;
+  auto assembler = DynamicAssembler::Make(*shape, *cube, dynamic_options);
+  ASSERT_TRUE(assembler.ok());
+  auto view = ElementId::AggregatedView(1, *shape);
+  ASSERT_TRUE(view.ok());
+  Failpoints::Arm("serve.fill", error);
+  OpCounter failed_ops;
+  auto failed = (*assembler)->Query(*view, &failed_ops);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().ToString().find("injected fill failure"),
+            std::string::npos)
+      << failed.status().ToString();
+  EXPECT_EQ(failed_ops.adds, 0u);
+  EXPECT_EQ((*assembler)->queries_served(), 0u);
+  // One-shot: the aborted flight is gone, the next query fills exactly.
+  OpCounter ops;
+  auto answer = (*assembler)->Query(*view, &ops);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  AssemblyEngine reference(&(*assembler)->store());
+  auto exact = reference.Assemble(*view);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(answer->data(), exact->data());
+  EXPECT_EQ(ops.adds, reference.PlanCost(*view));
+
+  OlapSessionOptions session_options;
+  session_options.view_cache.enabled = true;
+  auto session = OlapSession::FromCube(*shape, *cube, session_options);
+  ASSERT_TRUE(session.ok());
+  const RangeSpec range = MissingIntermediateRange(*shape);
+  Failpoints::Arm("serve.fill", error);
+  auto failed_sum = (*session)->RangeSum(range);
+  ASSERT_FALSE(failed_sum.ok());
+  EXPECT_NE(failed_sum.status().ToString().find("injected fill failure"),
+            std::string::npos)
+      << failed_sum.status().ToString();
+  auto sum = (*session)->RangeSum(range);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  auto naive = NaiveRangeSum(*cube, *shape, range);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(*sum, *naive);
+}
+
+// Every leader's fill fails (element-local cause): each concurrent range
+// query — whether it led a fill or waited on one — must surface that
+// failure, and none may retry it.
+TEST(ServeChaosTest, InjectedFillErrorReachesEveryRangeWaiter) {
+  FailpointGuard guard;
+  CubeFixture fixture = CubeFixture::Make(43);
+  const RangeSpec range = MissingIntermediateRange(fixture.shape);
+  ViewCache cache;
+  constexpr uint32_t kWorkers = 4;
+  FailpointAction error;
+  error.kind = FailpointAction::Kind::kError;
+  Failpoints::Arm("serve.fill", error, /*skip=*/0, /*hits=*/1u << 20);
+
+  std::atomic<uint32_t> ready{0};
+  std::atomic<uint32_t> injected{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kWorkers);
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&] {
+      RangeEngine engine(&fixture.store, MissingElementPolicy::kAssemble,
+                         nullptr, &cache);
+      ready.fetch_add(1);
+      while (ready.load() < kWorkers) std::this_thread::yield();
+      auto sum = engine.RangeSum(range);
+      if (!sum.ok() && sum.status().ToString().find(
+                           "injected fill failure") != std::string::npos) {
+        injected.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(injected.load(), kWorkers);
+  const ServeMetrics metrics = cache.Metrics();
+  EXPECT_EQ(metrics.follower_retries, 0u);
+  EXPECT_EQ(metrics.entries, 0u);
+
+  Failpoints::DisarmAll();
+  RangeEngine engine(&fixture.store, MissingElementPolicy::kAssemble,
+                     nullptr, &cache);
+  auto sum = engine.RangeSum(range);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  RangeEngine uncached(&fixture.store);
+  auto want = uncached.RangeSum(range);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*sum, *want);
+}
+
+// A range leader stalled past its own deadline aborts with a leader-local
+// cause: its waiters retry, exactly one becomes the next leader, and every
+// waiter's answer — and the ops spent — match an uncached run.
+TEST(ServeChaosTest, StalledRangeLeaderPastDeadlineHandsOffToAWaiter) {
+  FailpointGuard guard;
+  CubeFixture fixture = CubeFixture::Make(45);
+  const RangeSpec range = MissingIntermediateRange(fixture.shape);
+  ViewCache cache;
+  FailpointAction delay;
+  delay.kind = FailpointAction::Kind::kDelay;
+  delay.delay_ms = 300;
+  Failpoints::Arm("serve.fill", delay);
+
+  std::thread leader([&] {
+    RangeEngine engine(&fixture.store, MissingElementPolicy::kAssemble,
+                       nullptr, &cache);
+    auto sum = engine.RangeSum(
+        range, nullptr,
+        QueryContext::WithTimeout(std::chrono::milliseconds(100)));
+    ASSERT_FALSE(sum.ok());
+    EXPECT_TRUE(sum.status().IsDeadlineExceeded())
+        << sum.status().ToString();
+  });
+  // The flight exists once the leader's miss is counted; the stall
+  // itself happens after the ticket is claimed.
+  while (cache.Metrics().misses < 1) std::this_thread::yield();
+
+  constexpr uint32_t kWaiters = 3;
+  std::vector<RangeQueryStats> stats(kWaiters);
+  std::vector<double> sums(kWaiters, 0.0);
+  std::vector<int> ok(kWaiters, 0);
+  std::vector<std::thread> waiters;
+  waiters.reserve(kWaiters);
+  for (uint32_t w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&, w] {
+      RangeEngine engine(&fixture.store, MissingElementPolicy::kAssemble,
+                         nullptr, &cache);
+      auto sum = engine.RangeSum(range, &stats[w]);
+      ok[w] = sum.ok() ? 1 : 0;
+      if (sum.ok()) sums[w] = *sum;
+    });
+  }
+  for (std::thread& waiter : waiters) waiter.join();
+  leader.join();
+
+  RangeEngine uncached(&fixture.store);
+  RangeQueryStats uncached_stats;
+  auto want = uncached.RangeSum(range, &uncached_stats);
+  ASSERT_TRUE(want.ok());
+  uint64_t elements_missing = 0;
+  uint64_t assembly_ops = 0;
+  for (uint32_t w = 0; w < kWaiters; ++w) {
+    ASSERT_EQ(ok[w], 1) << "waiter " << w;
+    EXPECT_EQ(sums[w], *want) << "waiter " << w;
+    elements_missing += stats[w].elements_missing;
+    assembly_ops += stats[w].assembly_ops;
+  }
+  EXPECT_EQ(elements_missing, uncached_stats.elements_missing);
+  EXPECT_EQ(assembly_ops, uncached_stats.assembly_ops);
+  const ServeMetrics metrics = cache.Metrics();
+  EXPECT_GE(metrics.follower_retries, 1u);
+  EXPECT_EQ(metrics.misses, 2u);  // the stalled leader and its successor
+  EXPECT_EQ(metrics.insertions, 1u);
+}
+
+// Routing through the cache changes who assembles, never how much: per
+// query, the ops a dynamic miss spends and a range query's
+// elements_missing / assembly_ops equal an uncached run's.
+TEST(ServeAccountingTest, CachedDynamicAndRangeSpendUncachedOps) {
+  auto shape = CubeShape::Make({8, 8});
+  ASSERT_TRUE(shape.ok());
+  Rng rng(53);
+  auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
+  ASSERT_TRUE(cube.ok());
+
+  DynamicOptions plain_options;
+  plain_options.min_queries_between_reconfigs = 1000;  // fixed store
+  DynamicOptions cached_options = plain_options;
+  cached_options.cache.enabled = true;
+  auto plain = DynamicAssembler::Make(*shape, *cube, plain_options);
+  auto cached = DynamicAssembler::Make(*shape, *cube, cached_options);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(cached.ok());
+  for (uint32_t mask = 0; mask < 4; ++mask) {
+    auto view = ElementId::AggregatedView(mask, *shape);
+    ASSERT_TRUE(view.ok());
+    OpCounter plain_ops;
+    OpCounter cached_ops;
+    auto want = (*plain)->Query(*view, &plain_ops);
+    auto got = (*cached)->Query(*view, &cached_ops);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->data(), want->data()) << "mask " << mask;
+    EXPECT_EQ(cached_ops.adds, plain_ops.adds) << "mask " << mask;
+  }
+
+  CubeFixture fixture = CubeFixture::Make(53);
+  ViewCache cache;
+  RangeEngine cached_engine(&fixture.store, MissingElementPolicy::kAssemble,
+                            nullptr, &cache);
+  RangeEngine plain_engine(&fixture.store);
+  const std::vector<std::pair<std::vector<uint32_t>, std::vector<uint32_t>>>
+      ranges = {{{4, 0}, {4, 4}}, {{1, 2}, {6, 5}}, {{0, 0}, {8, 8}},
+                {{1, 2}, {6, 5}}, {{3, 3}, {2, 4}}};
+  for (const auto& [start, width] : ranges) {
+    auto range = RangeSpec::Make(start, width, fixture.shape);
+    ASSERT_TRUE(range.ok());
+    RangeQueryStats cached_stats;
+    RangeQueryStats plain_stats;
+    auto got = cached_engine.RangeSum(*range, &cached_stats);
+    auto want = plain_engine.RangeSum(*range, &plain_stats);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(*got, *want);
+    EXPECT_EQ(cached_stats.elements_missing, plain_stats.elements_missing);
+    EXPECT_EQ(cached_stats.assembly_ops, plain_stats.assembly_ops);
+    EXPECT_EQ(cached_stats.cell_reads, plain_stats.cell_reads);
+  }
 }
 
 // ---------------------------------------------------------------------------

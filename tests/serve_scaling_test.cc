@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/element_id.h"
@@ -64,19 +65,25 @@ std::vector<ElementId> WorkingSet(uint32_t count) {
   return ids;
 }
 
-// Pre-populates `cache` with `ids`, each costing `cost` ops to rebuild.
-// Small working set + default capacity: nothing can evict, so every
-// subsequent lookup is a hit and the expected counters are exact.
+// Pre-populates `cache` with `ids` through the leader fill path (one
+// miss each), each costing `cost` ops to rebuild. Small working set +
+// default capacity: nothing can evict, so every subsequent lookup is a
+// hit and the expected counters are exact.
 void Populate(ViewCache* cache, const std::vector<ElementId>& ids,
               uint64_t cost) {
   for (const ElementId& id : ids) {
-    ASSERT_NE(cache->Insert(id, MakeTensor(8, 1.0), cost), nullptr);
+    ViewCache::LookupOutcome outcome = cache->LookupOrBegin(id);
+    ASSERT_TRUE(outcome.fill.leader());
+    ASSERT_NE(cache->CompleteFill(std::move(outcome.fill),
+                                  MakeTensor(8, 1.0), cost),
+              nullptr);
   }
 }
 
-// Runs `threads` workers, each performing `rounds` pinned hits over
-// `ids`, and returns the wall time of the hammer region (spawn excluded
-// via a start latch).
+// Runs `threads` workers, each performing `rounds` LookupOrBegin hits
+// over `ids` — the probe every serving layer's hit path runs — and
+// returns the wall time of the hammer region (spawn excluded via a start
+// latch).
 double HammerMs(ViewCache* cache, const std::vector<ElementId>& ids,
                 uint32_t threads, uint32_t rounds) {
   std::atomic<uint32_t> ready{0};
@@ -90,9 +97,9 @@ double HammerMs(ViewCache* cache, const std::vector<ElementId>& ids,
       double sink = 0.0;
       for (uint32_t round = 0; round < rounds; ++round) {
         const ElementId& id = ids[(w + round) % ids.size()];
-        ViewCache::ReadHandle handle = cache->LookupPinned(id);
-        ASSERT_TRUE(handle) << "pure-hit workload missed";
-        sink += (*handle)[0];
+        ViewCache::LookupOutcome outcome = cache->LookupOrBegin(id);
+        ASSERT_TRUE(outcome.hit) << "pure-hit workload missed";
+        sink += (*outcome.hit)[0];
       }
       EXPECT_GT(sink, 0.0);
     });
@@ -119,6 +126,7 @@ TEST(ServeScalingStressTest, ConcurrentHitsAreCountedExactly) {
   const ServeMetrics seeded = cache.Metrics();
   ASSERT_EQ(seeded.entries, ids.size());
   ASSERT_EQ(seeded.hits, 0u);
+  ASSERT_EQ(seeded.misses, ids.size());  // the populating fills
 
   HammerMs(&cache, ids, kThreads, kRounds);
 
@@ -126,30 +134,9 @@ TEST(ServeScalingStressTest, ConcurrentHitsAreCountedExactly) {
   // threads x rounds hits is accounted, with its full ops_saved credit.
   const ServeMetrics metrics = cache.Metrics();
   EXPECT_EQ(metrics.hits, uint64_t{kThreads} * kRounds);
-  EXPECT_EQ(metrics.misses, 0u);
+  EXPECT_EQ(metrics.misses, seeded.misses);  // the hammer never missed
   EXPECT_EQ(metrics.evictions, 0u);
   EXPECT_EQ(metrics.assembly_ops_saved, uint64_t{kThreads} * kRounds * kCost);
-}
-
-TEST(ServeScalingStressTest, SharedPtrCompatPathCountsExactlyToo) {
-  constexpr uint32_t kThreads = 4;
-  constexpr uint32_t kRounds = 5000;
-  const std::vector<ElementId> ids = WorkingSet(4);
-
-  ViewCache cache;
-  Populate(&cache, ids, /*cost=*/3);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (uint32_t w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&, w] {
-      for (uint32_t round = 0; round < kRounds; ++round) {
-        auto handle = cache.Lookup(ids[(w + round) % ids.size()]);
-        ASSERT_NE(handle, nullptr);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  EXPECT_EQ(cache.Metrics().hits, uint64_t{kThreads} * kRounds);
 }
 
 // Release-only, bare-metal-only: the whole point of the contention-free

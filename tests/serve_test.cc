@@ -23,6 +23,7 @@
 #include "select/dynamic.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
+#include "view_cache_probe.h"
 #include "workload/population.h"
 
 namespace vecube {
@@ -57,14 +58,17 @@ TEST(ViewCacheTest, MissThenHitRoundTrips) {
   ASSERT_TRUE(shape.ok());
   const std::vector<ElementId> ids = PyramidIds(*shape, 2);
 
-  EXPECT_EQ(cache.Lookup(ids[0]), nullptr);
-  auto inserted = cache.Insert(ids[0], MakeTensor(4, 7.0), 12);
+  auto miss = cache.LookupOrBegin(ids[0]);
+  EXPECT_FALSE(miss.hit);
+  ASSERT_TRUE(miss.fill.leader());
+  auto inserted =
+      cache.CompleteFill(std::move(miss.fill), MakeTensor(4, 7.0), 12);
   ASSERT_NE(inserted, nullptr);
-  auto hit = cache.Lookup(ids[0]);
-  ASSERT_NE(hit, nullptr);
+  auto hit = Peek(cache, ids[0]);
+  ASSERT_TRUE(hit);
   EXPECT_EQ(hit.get(), inserted.get());
   EXPECT_EQ((*hit)[0], 7.0);
-  EXPECT_EQ(cache.Lookup(ids[1]), nullptr);
+  EXPECT_FALSE(Peek(cache, ids[1]));
 
   const ServeMetrics metrics = cache.Metrics();
   EXPECT_EQ(metrics.hits, 1u);
@@ -74,19 +78,6 @@ TEST(ViewCacheTest, MissThenHitRoundTrips) {
   EXPECT_EQ(metrics.bytes_resident, 4 * sizeof(double));
   EXPECT_EQ(metrics.assembly_ops_saved, 12u);
   EXPECT_DOUBLE_EQ(metrics.HitRate(), 1.0 / 3.0);
-}
-
-TEST(ViewCacheTest, FirstWriterWinsOnDuplicateInsert) {
-  ViewCache cache;
-  auto shape = CubeShape::Make({8, 8});
-  ASSERT_TRUE(shape.ok());
-  const ElementId id = PyramidIds(*shape, 1)[0];
-
-  auto first = cache.Insert(id, MakeTensor(4, 1.0), 5);
-  auto second = cache.Insert(id, MakeTensor(4, 1.0), 5);
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.Metrics().insertions, 1u);
-  EXPECT_EQ(cache.Metrics().entries, 1u);
 }
 
 TEST(ViewCacheTest, EvictsColdCheapBeforeHotExpensive) {
@@ -99,16 +90,16 @@ TEST(ViewCacheTest, EvictsColdCheapBeforeHotExpensive) {
   const std::vector<ElementId> ids = PyramidIds(*shape, 3);
 
   // ids[0]: hot and expensive to rebuild. ids[1]: cold and free.
-  cache.Insert(ids[0], MakeTensor(8, 1.0), 1000);
-  for (int i = 0; i < 4; ++i) EXPECT_NE(cache.Lookup(ids[0]), nullptr);
-  cache.Insert(ids[1], MakeTensor(8, 2.0), 0);
+  Put(cache, ids[0], MakeTensor(8, 1.0), 1000);
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(Peek(cache, ids[0]));
+  Put(cache, ids[1], MakeTensor(8, 2.0), 0);
 
   // Full; the third entry must displace the minimum-score victim.
-  cache.Insert(ids[2], MakeTensor(8, 3.0), 50);
+  Put(cache, ids[2], MakeTensor(8, 3.0), 50);
   EXPECT_EQ(cache.Metrics().evictions, 1u);
-  EXPECT_NE(cache.Lookup(ids[0]), nullptr) << "hot/expensive entry evicted";
-  EXPECT_EQ(cache.Lookup(ids[1]), nullptr) << "cold/cheap entry kept";
-  EXPECT_NE(cache.Lookup(ids[2]), nullptr);
+  EXPECT_TRUE(Peek(cache, ids[0])) << "hot/expensive entry evicted";
+  EXPECT_FALSE(Peek(cache, ids[1])) << "cold/cheap entry kept";
+  EXPECT_TRUE(Peek(cache, ids[2]));
 }
 
 TEST(ViewCacheTest, CapacityIsEnforced) {
@@ -121,7 +112,7 @@ TEST(ViewCacheTest, CapacityIsEnforced) {
   const std::vector<ElementId> ids = PyramidIds(*shape, 12);
 
   for (const ElementId& id : ids) {
-    cache.Insert(id, MakeTensor(8, 1.0), 1);
+    Put(cache, id, MakeTensor(8, 1.0), 1);
     EXPECT_LE(cache.Metrics().bytes_resident, options.capacity_bytes);
   }
   const ServeMetrics metrics = cache.Metrics();
@@ -138,10 +129,10 @@ TEST(ViewCacheTest, OversizedEntryServedButNotRetained) {
   ASSERT_TRUE(shape.ok());
   const ElementId id = PyramidIds(*shape, 1)[0];
 
-  auto served = cache.Insert(id, MakeTensor(64, 5.0), 9);
+  auto served = Put(cache, id, MakeTensor(64, 5.0), 9);
   ASSERT_NE(served, nullptr);  // caller can still answer from this
   EXPECT_EQ((*served)[0], 5.0);
-  EXPECT_EQ(cache.Lookup(id), nullptr);
+  EXPECT_FALSE(Peek(cache, id));
   const ServeMetrics metrics = cache.Metrics();
   EXPECT_EQ(metrics.rejected_inserts, 1u);
   EXPECT_EQ(metrics.entries, 0u);
@@ -154,35 +145,22 @@ TEST(ViewCacheTest, InvalidateAllDropsEverythingAndAllowsFreshData) {
   ASSERT_TRUE(shape.ok());
   const std::vector<ElementId> ids = PyramidIds(*shape, 6);
 
-  for (const ElementId& id : ids) cache.Insert(id, MakeTensor(4, 1.0), 3);
+  for (const ElementId& id : ids) Put(cache, id, MakeTensor(4, 1.0), 3);
   // An in-flight reader's handle must survive the flush.
-  auto held = cache.Lookup(ids[0]);
-  ASSERT_NE(held, nullptr);
+  auto held = Peek(cache, ids[0]);
+  ASSERT_TRUE(held);
 
   EXPECT_EQ(cache.InvalidateAll(), 6u);
   EXPECT_EQ(cache.Metrics().entries, 0u);
   EXPECT_EQ(cache.Metrics().bytes_resident, 0u);
   EXPECT_EQ(cache.Metrics().invalidations, 6u);
-  for (const ElementId& id : ids) EXPECT_EQ(cache.Lookup(id), nullptr);
+  for (const ElementId& id : ids) EXPECT_FALSE(Peek(cache, id));
   EXPECT_EQ((*held)[0], 1.0);  // old handle still fully readable
 
   // Post-flush inserts are new entries with the new data, not revivals.
-  auto fresh = cache.Insert(ids[0], MakeTensor(4, 2.0), 3);
+  auto fresh = Put(cache, ids[0], MakeTensor(4, 2.0), 3);
   EXPECT_NE(fresh.get(), held.get());
-  EXPECT_EQ((*cache.Lookup(ids[0]))[0], 2.0);
-}
-
-TEST(ViewCacheTest, TargetedInvalidateDropsOnlyThatEntry) {
-  ViewCache cache;
-  auto shape = CubeShape::Make({8, 8});
-  ASSERT_TRUE(shape.ok());
-  const std::vector<ElementId> ids = PyramidIds(*shape, 2);
-  cache.Insert(ids[0], MakeTensor(4, 1.0), 1);
-  cache.Insert(ids[1], MakeTensor(4, 2.0), 1);
-  cache.Invalidate(ids[0]);
-  EXPECT_EQ(cache.Lookup(ids[0]), nullptr);
-  EXPECT_NE(cache.Lookup(ids[1]), nullptr);
-  EXPECT_EQ(cache.Metrics().invalidations, 1u);
+  EXPECT_EQ((*Peek(cache, ids[0]))[0], 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,7 +218,7 @@ TEST(ViewCacheTest, FlushDuringFillServesButDoesNotRetainStaleTensor) {
   ASSERT_NE(served, nullptr);  // the leader still gets its answer
   EXPECT_EQ((*served)[0], 9.0);
 
-  EXPECT_EQ(cache.Lookup(id), nullptr) << "stale fill was retained";
+  EXPECT_FALSE(Peek(cache, id)) << "stale fill was retained";
   const ServeMetrics metrics = cache.Metrics();
   EXPECT_EQ(metrics.stale_fills, 1u);
   EXPECT_EQ(metrics.insertions, 0u);
@@ -323,8 +301,8 @@ TEST(ViewCacheTest, AbortedFillWakesFollowerToBecomeNextLeader) {
   cache.AbortFill(std::move(leader.fill));
   follower.join();
 
-  auto hit = cache.Lookup(id);
-  ASSERT_NE(hit, nullptr);
+  auto hit = Peek(cache, id);
+  ASSERT_TRUE(hit);
   EXPECT_EQ((*hit)[0], 2.0);
   const ServeMetrics metrics = cache.Metrics();
   EXPECT_EQ(metrics.misses, 2u);  // two appointed leaders, one aborted
@@ -512,18 +490,22 @@ TEST(ServeStressTest, ConcurrentReadersSurviveInvalidatingWriter) {
       Rng rng(0x5e7e + static_cast<uint64_t>(r));
       for (int round = 0; round < kReaderRounds; ++round) {
         const ElementId& id = ids[rng.UniformU64(ids.size())];
-        auto tensor = cache.Lookup(id);
-        if (tensor == nullptr) {
+        bool filled = false;
+        const auto fill = [&]() -> Result<ViewCache::Assembled> {
+          filled = true;
           const double v = static_cast<double>(version.load());
-          tensor = cache.Insert(id, MakeTensor(16, v),
-                                /*assembly_cost=*/rng.UniformU64(100));
-        } else {
-          hits.fetch_add(1, std::memory_order_relaxed);
-        }
+          return ViewCache::Assembled{MakeTensor(16, v),
+                                      /*assembly_cost=*/rng.UniformU64(100)};
+        };
+        auto served = cache.GetOrFill(id, QueryContext(), fill);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        // A pinned hit or a coalesced wait on another reader's fill.
+        if (!filled) hits.fetch_add(1, std::memory_order_relaxed);
         // Internal consistency: a handed-out tensor is never torn.
-        const double first = (*tensor)[0];
-        for (uint64_t i = 1; i < tensor->size(); ++i) {
-          if ((*tensor)[i] != first) {
+        const Tensor& tensor = **served;
+        const double first = tensor[0];
+        for (uint64_t i = 1; i < tensor.size(); ++i) {
+          if (tensor[i] != first) {
             inconsistencies.fetch_add(1);
             break;
           }

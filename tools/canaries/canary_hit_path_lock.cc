@@ -1,8 +1,8 @@
 // Checker canary: a mutex acquisition smuggled into a helper that the
-// ViewCache hit path calls. The per-body regex the old vecube_lint rule
-// used would miss this (FindPinned's own body is clean); call-graph
-// reachability must not. NOT compiled — consumed by
-// tools/vecube_check.py --canaries as a self-test.
+// ViewCache hit path calls. A per-body regex would miss this
+// (FindPinned's own body is clean); call-graph reachability must not.
+// NOT compiled — consumed by tools/vecube_check.py --canaries as a
+// self-test.
 //
 // vecube-check-as: src/serve/view_cache.cc
 // vecube-check-expect: hit-path-no-locks
@@ -17,13 +17,9 @@ ViewCache::Shard& ViewCache::ShardFor(const ElementId& id) {
   return *shards_[HashOf(id) & shard_mask_];
 }
 
-ViewCache::ReadHandle ViewCache::FindPinned(
-    const ElementId& id, bool count_miss,
-    std::shared_ptr<const Tensor>* out_shared) {
+ViewCache::ReadHandle ViewCache::FindPinned(const ElementId& id) {
   Shard& shard = ShardFor(id);  // reaches the lock above
   (void)shard;
-  (void)count_miss;
-  (void)out_shared;
   return ReadHandle();
 }
 
