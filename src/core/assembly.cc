@@ -14,10 +14,6 @@
 namespace vecube {
 
 namespace {
-// Flat memo arrays up to this many graph nodes (~0.5 GiB of memo state);
-// larger graphs fall back to hash maps over the touched nodes.
-constexpr uint64_t kDenseMemoLimit = uint64_t{1} << 24;
-
 Status TooManyDims() {
   return Status::InvalidArgument(
       "at most 16 dimensions supported for assembly planning");
@@ -69,17 +65,19 @@ AssemblyEngine::AssemblyEngine(const ElementStore* store, ThreadPool* pool,
       shape_(store->shape()),
       indexer_(shape_) {
   VECUBE_CHECK(store != nullptr);
-  dense_memos_ = indexer_.size() <= kDenseMemoLimit;
   Invalidate();
 }
 
 void AssemblyEngine::Invalidate() {
   is_stored_.clear();
+  stored_codes_.clear();
   for (const ElementId& id : store_->Ids()) {
-    is_stored_[indexer_.Encode(id)] = 1;
+    is_stored_.insert(indexer_.Encode(id));
+    stored_codes_.insert(stored_codes_.end(), id.codes().begin(),
+                         id.codes().end());
   }
-  ancestor_memo_.Init(indexer_.size(), dense_memos_);
-  plan_memo_.Init(indexer_.size(), dense_memos_);
+  ancestor_memo_.clear();
+  plan_memo_.clear();
 }
 
 uint64_t AssemblyEngine::EncodeRaw(const DimCode* codes) const {
@@ -100,9 +98,36 @@ uint64_t AssemblyEngine::VolumeRaw(const DimCode* codes) const {
   return volume;
 }
 
+uint32_t AssemblyEngine::FinerDimsRaw(const DimCode* codes) const {
+  const uint32_t ndim = shape_.ndim();
+  uint32_t finer = 0;
+  for (size_t base = 0; base < stored_codes_.size(); base += ndim) {
+    const DimCode* stored = &stored_codes_[base];
+    uint32_t dims = 0;
+    bool meets = true;
+    // Per dimension, the coarser code's interval contains the finer one's
+    // or the two are disjoint: they meet iff the finer offset, shifted up
+    // to the coarser level, is the coarser offset.
+    for (uint32_t m = 0; m < ndim && meets; ++m) {
+      const DimCode& s = stored[m];
+      const DimCode& n = codes[m];
+      if (s.level > n.level) {
+        meets = (s.offset >> (s.level - n.level)) == n.offset;
+        dims |= 1u << m;
+      } else {
+        meets = (n.offset >> (n.level - s.level)) == s.offset;
+      }
+    }
+    if (meets) finer |= dims;
+  }
+  return finer;
+}
+
 AssemblyEngine::AncestorInfo AssemblyEngine::MinAncestorRaw(DimCode* codes) {
   const uint64_t index = EncodeRaw(codes);
-  if (const AncestorInfo* hit = ancestor_memo_.Find(index)) return *hit;
+  if (auto hit = ancestor_memo_.find(index); hit != ancestor_memo_.end()) {
+    return hit->second;
+  }
   AncestorInfo info;
   if (is_stored_.count(index) > 0) {
     info.volume = VolumeRaw(codes);
@@ -116,12 +141,15 @@ AssemblyEngine::AncestorInfo AssemblyEngine::MinAncestorRaw(DimCode* codes) {
     codes[m] = saved;
     if (parent.volume < info.volume) info = parent;
   }
-  return ancestor_memo_.Insert(index, info);
+  ancestor_memo_.emplace(index, info);
+  return info;
 }
 
 AssemblyEngine::PlanNode AssemblyEngine::PlanRaw(DimCode* codes) {
   const uint64_t index = EncodeRaw(codes);
-  if (const PlanNode* hit = plan_memo_.Find(index)) return *hit;
+  if (auto hit = plan_memo_.find(index); hit != plan_memo_.end()) {
+    return hit->second;
+  }
 
   PlanNode node;
   const uint64_t vol = VolumeRaw(codes);
@@ -138,15 +166,18 @@ AssemblyEngine::PlanNode AssemblyEngine::PlanRaw(DimCode* codes) {
   // Any synthesis costs at least Vol(n) (the final stage alone), so when
   // aggregation already achieves that, the children cones need not be
   // explored at all — this prunes most of the graph for stores containing
-  // coarse elements.
-  //
-  // Cheap first pass: bound each dimension's synthesis option by the
-  // children's *aggregation-only* costs (no recursive exploration). This
-  // often establishes the Vol(n) floor immediately — e.g. when both
-  // children are stored — and lets the deep pass be skipped entirely.
+  // coarse elements. A split along a dimension where no stored element
+  // meeting n is finer is never optimal (DESIGN.md §15), so both
+  // passes try only the finer dimensions; with none, F wins or n is
+  // unreachable.
   if (node.cost > vol) {
+    const uint32_t finer = FinerDimsRaw(codes);
+    // Cheap first pass: bound each dimension's synthesis option by the
+    // children's *aggregation-only* costs (no recursive exploration). This
+    // often establishes the Vol(n) floor immediately — e.g. when both
+    // children are stored — and lets the deep pass be skipped entirely.
     for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-      if (codes[m].level >= shape_.log_extent(m)) continue;
+      if ((finer & (1u << m)) == 0) continue;
       const DimCode saved = codes[m];
       codes[m] = DimCode{saved.level + 1, saved.offset * 2};
       const AncestorInfo ap = MinAncestorRaw(codes);
@@ -164,10 +195,9 @@ AssemblyEngine::PlanNode AssemblyEngine::PlanRaw(DimCode* codes) {
       }
       if (node.cost <= vol) break;
     }
-  }
-  if (node.cost > vol) {
-    for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-      if (codes[m].level >= shape_.log_extent(m)) continue;
+    // Deep pass: the children's full plans.
+    for (uint32_t m = 0; m < shape_.ndim() && node.cost > vol; ++m) {
+      if ((finer & (1u << m)) == 0) continue;
       const DimCode saved = codes[m];
       codes[m] = DimCode{saved.level + 1, saved.offset * 2};
       const uint64_t tp = PlanRaw(codes).cost;
@@ -181,11 +211,11 @@ AssemblyEngine::PlanNode AssemblyEngine::PlanRaw(DimCode* codes) {
         node.choice = Choice::kSynthesize;
         node.split_dim = m;
       }
-      if (node.cost <= vol) break;
     }
   }
 
-  return plan_memo_.Insert(index, node);
+  plan_memo_.emplace(index, node);
+  return node;
 }
 
 void AssemblyEngine::WarmPlanRaw(DimCode* codes,

@@ -16,9 +16,12 @@
 // same quantity — a tested invariant of this reproduction.
 //
 // Implementation note: planning recursions run on raw per-dimension code
-// buffers with memo tables keyed by the element's mixed-radix index
-// (ElementIndexer), so planning over graphs of ~10^6 nodes stays in the
-// tens of milliseconds. Only nodes actually reached by a plan are stored.
+// buffers with hash-map memos keyed by the element's mixed-radix index
+// (ElementIndexer); only nodes actually reached by a plan are stored. The
+// synthesis search splits a node only along dimensions where a stored
+// element meeting it is finer (DESIGN.md §15), so planning touches only
+// the part of the graph the stored elements can reach, not the target's
+// whole descendant cone.
 // The raw buffers are fixed kMaxDims arrays; every public entry point
 // rejects stores of higher arity up front (CubeShape admits up to 24
 // dimensions, so the check is load-bearing, not decorative).
@@ -123,40 +126,6 @@ class AssemblyEngine {
     uint64_t arg = 0;                 // encoded index achieving it
   };
 
-  // Memo table that is a flat array for graphs that fit in memory and a
-  // hash map for larger ones; planning visits each node at most once.
-  template <typename T>
-  class MemoTable {
-   public:
-    void Init(uint64_t universe, bool dense) {
-      dense_ = dense;
-      if (dense_) {
-        values_.assign(universe, T{});
-        present_.assign(universe, 0);
-      }
-      map_.clear();
-    }
-    const T* Find(uint64_t index) const {
-      if (dense_) return present_[index] ? &values_[index] : nullptr;
-      auto it = map_.find(index);
-      return it == map_.end() ? nullptr : &it->second;
-    }
-    const T& Insert(uint64_t index, T value) {
-      if (dense_) {
-        present_[index] = 1;
-        values_[index] = value;
-        return values_[index];
-      }
-      return map_.insert_or_assign(index, value).first->second;
-    }
-
-   private:
-    bool dense_ = false;
-    std::vector<T> values_;
-    std::vector<uint8_t> present_;
-    std::unordered_map<uint64_t, T> map_;
-  };
-
   // Cross-target cache of sub-results for AssembleBatch. Each entry is a
   // latch: the first thread to insert it owns the computation; later
   // arrivals block on `cv` until `ready`. Sub-element dependencies form a
@@ -165,6 +134,10 @@ class AssemblyEngine {
 
   uint64_t EncodeRaw(const DimCode* codes) const;
   uint64_t VolumeRaw(const DimCode* codes) const;
+  // Bit m set iff some stored element meeting `codes` (their frequency
+  // rectangles intersect) has a higher level than `codes` along m. Only
+  // these dimensions can carry an optimal synthesis split (DESIGN.md §15).
+  uint32_t FinerDimsRaw(const DimCode* codes) const;
   AncestorInfo MinAncestorRaw(DimCode* codes);
   PlanNode PlanRaw(DimCode* codes);
   // Memoizes the plan of every node the execution of `codes` will visit
@@ -186,10 +159,12 @@ class AssemblyEngine {
   ScratchArena* arena_;
   CubeShape shape_;
   ElementIndexer indexer_;
-  bool dense_memos_ = false;
-  std::unordered_map<uint64_t, uint8_t> is_stored_;
-  MemoTable<AncestorInfo> ancestor_memo_;
-  MemoTable<PlanNode> plan_memo_;
+  std::unordered_set<uint64_t> is_stored_;
+  // The stored elements' codes, ndim per element, for FinerDimsRaw.
+  std::vector<DimCode> stored_codes_;
+  // Memos over the nodes planning has touched; each node is planned once.
+  std::unordered_map<uint64_t, AncestorInfo> ancestor_memo_;
+  std::unordered_map<uint64_t, PlanNode> plan_memo_;
 };
 
 }  // namespace vecube

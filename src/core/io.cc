@@ -194,8 +194,7 @@ Status WriteStoreV2(const ElementStore& store, const std::string& tmp,
         MaskCrc32c(Crc32c(data->raw(), data->size() * sizeof(double))));
   }
 
-  std::vector<uint8_t> header;
-  header.insert(header.end(), kMagicV2, kMagicV2 + sizeof(kMagicV2));
+  std::vector<uint8_t> header(kMagicV2, kMagicV2 + sizeof(kMagicV2));
   AppendScalarTo<uint32_t>(&header, shape.ndim());
   for (uint32_t m = 0; m < shape.ndim(); ++m) {
     AppendScalarTo<uint32_t>(&header, shape.extent(m));
@@ -234,8 +233,7 @@ Result<ElementStore> LoadStoreV2Body(std::FILE* f, const std::string& path,
                                      uint64_t file_size,
                                      SnapshotReport* report) {
   // Header section. Every byte read is tracked for the section CRC.
-  std::vector<uint8_t> raw;
-  raw.insert(raw.end(), kMagicV2, kMagicV2 + sizeof(kMagicV2));
+  std::vector<uint8_t> raw(kMagicV2, kMagicV2 + sizeof(kMagicV2));
 
   uint32_t ndim = 0;
   if (!ReadTrackedScalar(f, &ndim, &raw) || ndim == 0 || ndim > kMaxDims) {

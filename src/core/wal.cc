@@ -117,10 +117,11 @@ Result<WalScan> WriteAheadLog::Scan(const std::string& path,
     return Status::InvalidArgument(path + ": truncated WAL header");
   }
   const std::vector<uint8_t> expected = HeaderBytes(shape, base_lsn);
-  // The rebuilt header ends with its own CRC; compare the whole block.
-  std::vector<uint8_t> actual = expected;
-  std::memcpy(actual.data() + actual.size() - 4, &header_crc, 4);
-  if (actual != expected) {
+  // The rebuilt header ends with its own CRC: the fields before it were
+  // checked one by one above, so the stored CRC must match that tail.
+  uint32_t expected_crc = 0;
+  std::memcpy(&expected_crc, expected.data() + expected.size() - 4, 4);
+  if (header_crc != expected_crc) {
     return Status::InvalidArgument(path + ": WAL header checksum mismatch");
   }
 

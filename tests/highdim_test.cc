@@ -1,7 +1,7 @@
 // High-dimensionality stress tests: a 16-dimensional cube of extent 2 per
-// dimension has N_ve = 3^16 ~ 43M — beyond the dense memo tables — so
-// these exercise the hash-map planning fallback, plus the combinatorics
-// at the dimensional limit.
+// dimension has N_ve = 3^16 ~ 43M, so these exercise the planner's
+// touched-node hash-map memos on a graph far too large to walk, plus the
+// combinatorics at the dimensional limit.
 
 #include <gtest/gtest.h>
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/basis.h"
 #include "core/computer.h"
 #include "cube/synthetic.h"
@@ -51,31 +53,102 @@ TEST(Procedure3Test, UnreachableIsInfinite) {
   EXPECT_EQ(calc->Cost(*pp), 4u);  // vol 8 -> vol 4
 }
 
-TEST(Procedure3Test, MatchesAssemblyEnginePlanOnRandomBases)  {
-  // Procedure-3 analytic costs must equal the executable engine's plans
-  // for every element of the graph, over several stored sets.
-  const CubeShape shape = Shape({4, 4});
-  Rng rng(3);
-  auto cube = UniformIntegerCube(shape, &rng);
-  ElementComputer computer(shape, &*cube);
-
-  const std::vector<std::vector<ElementId>> sets = {
-      CubeOnlySet(shape),
-      WaveletBasisSet(shape),
-      GaussianPyramidSet(shape),
-      ViewHierarchySet(shape),
-  };
-  ViewElementGraph graph(shape);
-  for (const auto& set : sets) {
-    auto store = computer.Materialize(set);
-    ASSERT_TRUE(store.ok());
-    AssemblyEngine engine(&*store);
-    auto calc = Procedure3Calculator::Make(shape, set);
-    ASSERT_TRUE(calc.ok());
-    graph.ForEachElement([&](const ElementId& id) {
-      EXPECT_EQ(calc->Cost(id), engine.PlanCost(id)) << id.ToString();
-    });
+// `count` distinct elements drawn uniformly from `all`, appended to `base`
+// (skipping any already present).
+std::vector<ElementId> WithRandomElements(std::vector<ElementId> base,
+                                          const std::vector<ElementId>& all,
+                                          size_t count, Rng* rng) {
+  const size_t target = base.size() + count;
+  while (base.size() < target) {
+    const ElementId& pick = all[rng->UniformU64(all.size())];
+    if (std::find(base.begin(), base.end(), pick) == base.end()) {
+      base.push_back(pick);
+    }
   }
+  return base;
+}
+
+TEST(Procedure3Test, MatchesAssemblyEnginePlanOnRandomBases) {
+  // The unpruned Procedure-3 recursion is the oracle for the engine's
+  // planner: on every element of every store, PlanCost must equal it
+  // (kInfiniteCost included), and executing every aggregated view must
+  // count exactly PlanCost ops. The stores cover the bases of the paper,
+  // random supersets of the complete ones, and arbitrary, possibly
+  // incomplete sets whose elements overlap without nesting.
+  const std::vector<std::vector<uint32_t>> shapes = {
+      {4, 4, 4}, {8, 4, 2}, {2, 2, 2, 2}, {8, 8}, {16, 4}};
+  Rng rng(3);
+  for (const auto& extents : shapes) {
+    const CubeShape shape = Shape(extents);
+    auto cube = UniformIntegerCube(shape, &rng);
+    ASSERT_TRUE(cube.ok());
+    ElementComputer computer(shape, &*cube);
+    ViewElementGraph graph(shape);
+    std::vector<ElementId> all;
+    graph.ForEachElement([&](const ElementId& id) { all.push_back(id); });
+
+    std::vector<std::vector<ElementId>> sets = {
+        CubeOnlySet(shape),
+        WaveletBasisSet(shape),
+        GaussianPyramidSet(shape),
+        ViewHierarchySet(shape),
+    };
+    for (int i = 0; i < 20; ++i) {
+      sets.push_back(WithRandomElements(
+          i % 2 == 0 ? CubeOnlySet(shape) : WaveletBasisSet(shape), all, 4,
+          &rng));
+    }
+    for (size_t size = 1; size <= 8; ++size) {
+      sets.push_back(WithRandomElements({}, all, size, &rng));
+    }
+
+    for (const auto& set : sets) {
+      auto store = computer.Materialize(set);
+      ASSERT_TRUE(store.ok());
+      AssemblyEngine engine(&*store);
+      auto calc = Procedure3Calculator::Make(shape, set);
+      ASSERT_TRUE(calc.ok());
+      for (const ElementId& id : all) {
+        ASSERT_EQ(calc->Cost(id), engine.PlanCost(id))
+            << shape.ToString() << " target " << id.ToString();
+      }
+      for (const ElementId& view : graph.AggregatedViews()) {
+        OpCounter ops;
+        auto out = engine.Assemble(view, &ops);
+        const uint64_t planned = engine.PlanCost(view);
+        if (planned == kInfiniteCost) {
+          EXPECT_FALSE(out.ok()) << view.ToString();
+          continue;
+        }
+        ASSERT_TRUE(out.ok()) << view.ToString();
+        EXPECT_EQ(ops.adds, planned) << view.ToString();
+      }
+    }
+  }
+}
+
+TEST(Procedure3Test, OverlapWithoutNestingStillReachesTheTarget) {
+  // On the 4x4 wavelet basis, (0@0, 2@2) has no stored ancestor and no
+  // stored element inside it, yet splitting along dimension 0 reaches the
+  // stored (1@1, 1@1), whose rectangle overlaps the target's without
+  // nesting. A planner that skipped synthesis here would call it
+  // unreachable.
+  const CubeShape shape = Shape({4, 4});
+  const std::vector<ElementId> set = WaveletBasisSet(shape);
+  auto target = ElementId::Make({{0, 0}, {2, 2}}, shape);
+  ASSERT_TRUE(target.ok());
+  auto calc = Procedure3Calculator::Make(shape, set);
+  ASSERT_TRUE(calc.ok());
+  EXPECT_EQ(calc->Cost(*target), 8u);
+
+  Rng rng(5);
+  auto cube = UniformIntegerCube(shape, &rng);
+  ASSERT_TRUE(cube.ok());
+  ElementComputer computer(shape, &*cube);
+  auto store = computer.Materialize(set);
+  ASSERT_TRUE(store.ok());
+  AssemblyEngine engine(&*store);
+  EXPECT_EQ(engine.PlanCost(*target), 8u);
 }
 
 TEST(Procedure3Test, TotalCostWeightsByFrequency) {
