@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "util/logging.h"
 
@@ -29,26 +30,62 @@ Result<uint64_t> CheckedProduct(const std::vector<uint32_t>& extents) {
 
 }  // namespace
 
+// Constant-initialized, so a Tensor default-constructed during another
+// translation unit's static initialization already sees it.
+constinit Tensor::Payload Tensor::empty_;
+
+Tensor::Tensor(const Tensor& other)
+    : payload_(other.payload_ == &empty_
+                   ? &empty_
+                   : std::make_unique<Payload>(*other.payload_).release()) {}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this != &other) *this = Tensor(other);
+  return *this;
+}
+
+void Tensor::Detach() {
+  std::unique_ptr<Payload> copy = std::make_unique<Payload>(*payload_);
+  Release();
+  payload_ = copy.release();
+}
+
+void Tensor::Drop() noexcept {
+  // order: acq_rel — release: this owner's reads of the cells happen-
+  // before a surviving owner's in-place write (OwnsAlone's acquire) or
+  // the free below; acquire: the last owner frees only after every other
+  // owner is done with the payload.
+  if (payload_->owners.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    std::unique_ptr<Payload> last(payload_);
+  }
+  payload_ = &empty_;
+}
+
+Tensor Tensor::Adopt(std::vector<uint32_t> extents, TensorBuffer cells) {
+  auto payload = std::make_unique<Payload>();
+  payload->strides.resize(extents.size());
+  uint64_t stride = 1;
+  for (size_t i = extents.size(); i-- > 0;) {
+    payload->strides[i] = stride;
+    stride *= extents[i];
+  }
+  payload->extents = std::move(extents);
+  payload->cells = std::move(cells);
+  return Tensor(payload.release());
+}
+
 Result<Tensor> Tensor::Zeros(std::vector<uint32_t> extents) {
   uint64_t n;
   VECUBE_ASSIGN_OR_RETURN(n, CheckedProduct(extents));
-  Tensor t;
-  t.extents_ = std::move(extents);
-  t.data_.assign(n, 0.0);
-  t.ComputeStrides();
-  return t;
+  return Adopt(std::move(extents), TensorBuffer(n, 0.0));
 }
 
 Result<Tensor> Tensor::Uninitialized(std::vector<uint32_t> extents) {
   uint64_t n;
   VECUBE_ASSIGN_OR_RETURN(n, CheckedProduct(extents));
-  Tensor t;
-  t.extents_ = std::move(extents);
   // TensorAllocator's default construction is a no-op, so this allocates
   // without touching the payload.
-  t.data_.resize(n);
-  t.ComputeStrides();
-  return t;
+  return Adopt(std::move(extents), TensorBuffer(n));
 }
 
 Result<Tensor> Tensor::FromData(std::vector<uint32_t> extents,
@@ -60,11 +97,7 @@ Result<Tensor> Tensor::FromData(std::vector<uint32_t> extents,
         "data size " + std::to_string(data.size()) +
         " does not match extents product " + std::to_string(n));
   }
-  Tensor t;
-  t.extents_ = std::move(extents);
-  t.data_.assign(data.begin(), data.end());
-  t.ComputeStrides();
-  return t;
+  return Adopt(std::move(extents), TensorBuffer(data.begin(), data.end()));
 }
 
 Result<Tensor> Tensor::FromBuffer(std::vector<uint32_t> extents,
@@ -76,59 +109,51 @@ Result<Tensor> Tensor::FromBuffer(std::vector<uint32_t> extents,
         "data size " + std::to_string(data.size()) +
         " does not match extents product " + std::to_string(n));
   }
-  Tensor t;
-  t.extents_ = std::move(extents);
-  t.data_ = std::move(data);
-  t.ComputeStrides();
-  return t;
-}
-
-void Tensor::ComputeStrides() {
-  strides_.resize(extents_.size());
-  uint64_t stride = 1;
-  for (size_t i = extents_.size(); i-- > 0;) {
-    strides_[i] = stride;
-    stride *= extents_[i];
-  }
+  return Adopt(std::move(extents), std::move(data));
 }
 
 uint64_t Tensor::FlatIndex(const std::vector<uint32_t>& coords) const {
-  VECUBE_DCHECK(coords.size() == extents_.size());
+  const std::vector<uint32_t>& extents = payload_->extents;
+  VECUBE_DCHECK(coords.size() == extents.size());
   uint64_t flat = 0;
   for (size_t i = 0; i < coords.size(); ++i) {
-    VECUBE_DCHECK(coords[i] < extents_[i]);
-    flat += coords[i] * strides_[i];
+    VECUBE_DCHECK(coords[i] < extents[i]);
+    flat += coords[i] * payload_->strides[i];
   }
   return flat;
 }
 
 double Tensor::At(const std::vector<uint32_t>& coords) const {
-  return data_[FlatIndex(coords)];
+  return payload_->cells[FlatIndex(coords)];
 }
 
 void Tensor::Set(const std::vector<uint32_t>& coords, double value) {
-  data_[FlatIndex(coords)] = value;
+  const uint64_t flat = FlatIndex(coords);
+  Mutable().cells[flat] = value;
 }
 
 double Tensor::Total() const {
   double total = 0.0;
-  for (double v : data_) total += v;
+  for (double v : payload_->cells) total += v;
   return total;
 }
 
 bool Tensor::ApproxEquals(const Tensor& other, double tol) const {
-  if (extents_ != other.extents_) return false;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    if (std::fabs(data_[i] - other.data_[i]) > tol) return false;
+  if (extents() != other.extents()) return false;
+  const TensorBuffer& mine = payload_->cells;
+  const TensorBuffer& theirs = other.payload_->cells;
+  for (size_t i = 0; i < mine.size(); ++i) {
+    if (std::fabs(mine[i] - theirs[i]) > tol) return false;
   }
   return true;
 }
 
 std::string Tensor::ShapeString() const {
+  const std::vector<uint32_t>& extents = payload_->extents;
   std::string out = "[";
-  for (size_t i = 0; i < extents_.size(); ++i) {
+  for (size_t i = 0; i < extents.size(); ++i) {
     if (i > 0) out += ", ";
-    out += std::to_string(extents_[i]);
+    out += std::to_string(extents[i]);
   }
   out += "]";
   return out;

@@ -50,7 +50,7 @@ Result<Tensor> DynamicAssembler::Query(const ElementId& view, OpCounter* ops,
     };
     ViewCache::Served served;
     VECUBE_ASSIGN_OR_RETURN(served, cache_->GetOrFill(view, ctx, fill));
-    answer = *served;
+    answer = (*served).Share();
   }
   access_log_.Record(view);
   ++queries_served_;

@@ -49,7 +49,7 @@ Result<QueryAnswer> ElementServer::Serve(const ElementId& id,
   } else {
     Result<ViewCache::Served> served = cache_->GetOrFill(id, ctx, fill);
     if (served.ok()) {
-      answer.data = **served;
+      answer.data = (**served).Share();
       return answer;
     }
     failed = served.status();

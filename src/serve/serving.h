@@ -49,6 +49,11 @@ namespace vecube {
 /// A served answer. Exact unless `degraded`; a degraded answer always
 /// carries its L2 error bound (||exact − data||₂ ≤ l2_bound).
 struct QueryAnswer {
+  /// For a hit or a coalesced fill, a Tensor::Share() of the cached
+  /// tensor: no cells are copied, and the answer aliases the cache until
+  /// it is written (the first write detaches it onto a private copy).
+  /// The cells stay valid after the cache evicts or flushes the entry;
+  /// they are freed when the last answer sharing them drops.
   Tensor data;
   bool degraded = false;
   double l2_bound = 0.0;

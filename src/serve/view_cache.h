@@ -14,7 +14,7 @@
 // or expensive — exactly the benefit metric Section 5 optimizes, applied
 // to cache residency instead of materialization.
 //
-// Concurrency (DESIGN.md §10): the hit path is contention-free. Each
+// Concurrency (DESIGN.md §10): the lookup is contention-free. Each
 // shard publishes an immutable table of entries through an atomic
 // pointer; readers pin a process-wide epoch (util/epoch.h), load the
 // table, and record the hit with one relaxed fetch_add on the calling
@@ -24,6 +24,13 @@
 // on a per-shard mutex, copy-on-write the table, and retire the old
 // version through the epoch limbo, so a reader holding a ReadHandle can
 // never observe freed memory and never blocks a writer.
+//
+// Handing the answer out is a separate step with one refcount bump: the
+// serving layers return Tensor::Share() of the cached tensor, one
+// atomic increment on its payload instead of a copy of its cells. The
+// answer aliases the cache until it is written (the write detaches it),
+// and an evicted or flushed tensor's cells live until the last answer
+// sharing them drops.
 //
 // Misses are single-flight: concurrent misses on one ElementId coalesce
 // onto a single assembly. GetOrFill() runs the whole protocol for every

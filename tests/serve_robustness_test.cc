@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +26,7 @@
 #include "core/store.h"
 #include "cube/synthetic.h"
 #include "cube/tensor.h"
+#include "haar/cascade.h"
 #include "range/range_engine.h"
 #include "select/dynamic.h"
 #include "serve/admission.h"
@@ -75,6 +77,28 @@ struct CubeFixture {
     return *id;
   }
 };
+
+/// `view` computed straight from the fixture's cube by PartialSumK along
+/// every aggregated dimension: the oracle served answers equal bit for bit.
+Tensor ViewReference(const CubeFixture& fixture, const ElementId& view) {
+  auto cube = fixture.store.Get(ElementId::Root(fixture.shape.ndim()));
+  EXPECT_TRUE(cube.ok());
+  Tensor reference = **cube;
+  const std::vector<uint32_t> extents = view.DataExtents(fixture.shape);
+  for (uint32_t dim = 0; dim < extents.size(); ++dim) {
+    if (extents[dim] == reference.extent(dim)) continue;
+    auto summed =
+        PartialSumK(reference, dim, fixture.shape.log_extent(dim));
+    EXPECT_TRUE(summed.ok());
+    reference = std::move(summed).value();
+  }
+  return reference;
+}
+
+bool SameBits(const Tensor& got, const Tensor& want) {
+  return got.extents() == want.extents() &&
+         std::memcmp(got.raw(), want.raw(), got.size() * sizeof(double)) == 0;
+}
 
 double L2Error(const Tensor& got, const Tensor& want) {
   EXPECT_EQ(got.size(), want.size());
@@ -683,6 +707,90 @@ TEST(ServeAdmissionTest, ShutdownRefusesNewArrivalsAndDrains) {
   EXPECT_EQ(admission.Metrics().queued, 0u);
 }
 
+// A release must wake a queued waiter at once: a lost wake-up leaves it
+// parked until its 100 ms slice runs out. Best of three rounds, so one
+// slow reschedule on a loaded machine cannot fail the bound.
+TEST(ServeAdmissionTest, ReleaseWakesAQueuedWaiterPromptly) {
+  AdmissionOptions options;
+  options.max_inflight = 1;
+  AdmissionController admission(options);
+
+  QueryContext::Clock::duration best = std::chrono::hours(1);
+  for (int round = 0; round < 3; ++round) {
+    auto holder = admission.Admit();
+    ASSERT_TRUE(holder.ok());
+    std::atomic<int64_t> admitted_at{0};
+    std::thread waiter([&] {
+      auto permit = admission.Admit();
+      // order: relaxed — read after join(), which synchronizes.
+      admitted_at.store(
+          QueryContext::Clock::now().time_since_epoch().count(),
+          std::memory_order_relaxed);
+      EXPECT_TRUE(permit.ok()) << permit.status().ToString();
+    });
+    while (admission.Metrics().queued == 0) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const QueryContext::Clock::time_point released =
+        QueryContext::Clock::now();
+    holder->Release();
+    waiter.join();
+    // order: relaxed — see the store.
+    const QueryContext::Clock::duration waited =
+        QueryContext::Clock::duration(
+            admitted_at.load(std::memory_order_relaxed)) -
+        released.time_since_epoch();
+    if (waited < best) best = waited;
+  }
+  EXPECT_LT(best, std::chrono::milliseconds(50))
+      << "a queued Admit waited out its slice after the release";
+  const AdmissionMetrics metrics = admission.Metrics();
+  EXPECT_EQ(metrics.admitted, 6u);
+  EXPECT_EQ(metrics.inflight, 0u);
+  EXPECT_EQ(metrics.queued, 0u);
+}
+
+// Drain sleeps on the queue's condition variable like a queued Admit,
+// so the last release wakes it instead of its next 100 ms slice.
+TEST(ServeAdmissionTest, LastReleaseWakesDrainPromptly) {
+  AdmissionController admission;
+  QueryContext::Clock::duration best = std::chrono::hours(1);
+  for (int round = 0; round < 3; ++round) {
+    auto permit = admission.Admit();
+    ASSERT_TRUE(permit.ok());
+    std::thread releaser([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      permit->Release();
+    });
+    const QueryContext::Clock::time_point start = QueryContext::Clock::now();
+    EXPECT_TRUE(admission.Drain(std::chrono::seconds(5)));
+    const QueryContext::Clock::duration waited =
+        QueryContext::Clock::now() - start;
+    releaser.join();
+    if (waited < best) best = waited;
+  }
+  EXPECT_LT(best, std::chrono::milliseconds(55))
+      << "Drain waited out its slice after the last release";
+}
+
+TEST(ServeAdmissionTest, MaxInflightIsClampedToTheCountField) {
+  AdmissionOptions options;
+  options.max_inflight = kMaxAdmissionInflight + 10;
+  options.max_queue = 0;
+  AdmissionController admission(options);
+  std::vector<AdmissionController::Permit> permits;
+  for (uint32_t i = 0; i < kMaxAdmissionInflight; ++i) {
+    auto permit = admission.Admit();
+    ASSERT_TRUE(permit.ok()) << i;
+    permits.push_back(std::move(permit).value());
+  }
+  EXPECT_TRUE(admission.Admit().status().IsResourceExhausted());
+  permits.clear();
+  const AdmissionMetrics metrics = admission.Metrics();
+  EXPECT_EQ(metrics.admitted, kMaxAdmissionInflight);
+  EXPECT_EQ(metrics.shed, 1u);
+  EXPECT_EQ(metrics.inflight, 0u);
+}
+
 TEST(ServeAdmissionStressTest, MetricsIdentityHoldsUnderContention) {
   const uint64_t rounds = 200 * SoakIters();
   constexpr uint32_t kThreads = 8;
@@ -823,6 +931,147 @@ TEST(ServeAccountingStressTest, EveryQueryResolvesToExactlyOneOutcome) {
   const ServeMetrics metrics = cache.Metrics();
   EXPECT_EQ(metrics.shed, shed.load());
   EXPECT_EQ(metrics.degraded, degraded.load());
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy answers: a served answer shares the cache's tensor until it
+// is written, and keeps the cells alive after the cache drops them.
+
+TEST(ServeShareTest, WritingAServedAnswerLeavesTheCacheIntact) {
+  CubeFixture fixture = CubeFixture::Make(53);
+  AssemblyEngine engine(&fixture.store);
+  ViewCache cache;
+  ElementServer server(&engine, &fixture.store, &cache);
+  const ElementId view = fixture.View(1);
+  const Tensor reference = ViewReference(fixture, view);
+
+  auto filled = server.Serve(view);  // the leader's fill
+  ASSERT_TRUE(filled.ok()) << filled.status().ToString();
+  auto hit = server.Serve(view);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  ASSERT_EQ(cache.Metrics().hits, 1u);
+  {
+    ViewCache::ReadHandle entry = Peek(cache, view);
+    ASSERT_TRUE(entry);
+    // Both answers alias the cached tensor: no cell was copied.
+    EXPECT_EQ(std::as_const(filled->data).raw(), entry->raw());
+    EXPECT_EQ(std::as_const(hit->data).raw(), entry->raw());
+  }
+
+  filled->data[0] += 100.0;
+  hit->data.raw()[1] = -1.0;
+  EXPECT_EQ(std::as_const(filled->data)[0], reference[0] + 100.0);
+  EXPECT_EQ(std::as_const(hit->data)[1], -1.0);
+
+  auto again = server.Serve(view);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(SameBits(again->data, reference));
+  ViewCache::ReadHandle entry = Peek(cache, view);
+  ASSERT_TRUE(entry);
+  EXPECT_TRUE(SameBits(*entry, reference));
+  EXPECT_EQ(again->ops, 0u);
+}
+
+TEST(ServeShareTest, AnswerOutlivesFlushAndReclamation) {
+  CubeFixture fixture = CubeFixture::Make(57);
+  AssemblyEngine engine(&fixture.store);
+  ViewCache cache;
+  ElementServer server(&engine, &fixture.store, &cache);
+  const ElementId view = fixture.View(2);
+  const Tensor reference = ViewReference(fixture, view);
+
+  ASSERT_TRUE(server.Serve(view).ok());  // fills; the answer drops here
+  auto held = server.Serve(view);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  const double* cells = std::as_const(held->data).raw();
+
+  // No reader is pinned, so the flush retires and reclaims the entry at
+  // once; more fills then churn the allocator over the freed memory.
+  EXPECT_EQ(cache.InvalidateAll(), 1u);
+  EXPECT_EQ(cache.Metrics().entries, 0u);
+  for (uint32_t mask = 0; mask < 4; ++mask) {
+    ASSERT_TRUE(server.Serve(fixture.View(mask)).ok());
+  }
+  cache.InvalidateAll();
+
+  EXPECT_TRUE(SameBits(held->data, reference));  // ASan: still live
+  // The cache's owner is gone, so the answer now owns its cells alone and
+  // writes them in place.
+  held->data[0] = -7.0;
+  EXPECT_EQ(std::as_const(held->data).raw(), cells);
+}
+
+// Workers share, drop and write their answers while a flusher keeps
+// retiring the entries those answers alias. The suite name carries
+// "Stress" and "Serve" into the CI TSan filter.
+TEST(ServeShareStressTest, SharedAnswersSurviveConcurrentFlushes) {
+  const uint64_t rounds = 2000 * SoakIters();
+  constexpr uint32_t kThreads = 4;
+  CubeFixture fixture = CubeFixture::Make(61);
+  const std::vector<ElementId> views = {fixture.View(0), fixture.View(1),
+                                        fixture.View(2), fixture.View(3)};
+  std::vector<Tensor> references;
+  for (const ElementId& view : views) {
+    references.push_back(ViewReference(fixture, view));
+  }
+  ViewCache cache;
+
+  std::atomic<uint32_t> running{kThreads};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (uint32_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      AssemblyEngine engine(&fixture.store);
+      ElementServer server(&engine, &fixture.store, &cache);
+      Tensor kept;  // an alias carried into the next round
+      size_t kept_view = 0;
+      for (uint64_t i = 0; i < rounds; ++i) {
+        const size_t v = (w + i) % views.size();
+        const Tensor& want = references[v];
+        auto answer = server.Serve(views[v]);
+        if (!answer.ok()) {
+          wrong.fetch_add(1, std::memory_order_relaxed);  // order: stat
+          continue;
+        }
+        Tensor alias = std::as_const(answer->data).Share();
+        if (!SameBits(alias, want) ||
+            (kept.size() != 0 && !SameBits(kept, references[kept_view]))) {
+          wrong.fetch_add(1, std::memory_order_relaxed);  // order: stat
+        }
+        answer->data[0] += 1.0;  // detaches from the cache and `alias`
+        if (std::as_const(answer->data)[0] != want[0] + 1.0 ||
+            !SameBits(alias, want)) {
+          wrong.fetch_add(1, std::memory_order_relaxed);  // order: stat
+        }
+        // Every other alias outlives this round; the rest drop here.
+        if (i % 2 == 0) {
+          kept = std::move(alias);
+          kept_view = v;
+        }
+      }
+      // order: release — pairs with the flusher's acquire load.
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::thread flusher([&] {
+    // order: acquire — pairs with the workers' release.
+    while (running.load(std::memory_order_acquire) != 0) {
+      cache.InvalidateAll();
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& worker : workers) worker.join();
+  flusher.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  AssemblyEngine engine(&fixture.store);
+  ElementServer server(&engine, &fixture.store, &cache);
+  for (size_t v = 0; v < views.size(); ++v) {
+    auto answer = server.Serve(views[v]);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(SameBits(answer->data, references[v])) << v;
+  }
 }
 
 }  // namespace

@@ -14,11 +14,19 @@
 //     path anti-scaled: 8 threads took 3.5x the wall of 1). Skipped
 //     under sanitizers (instrumentation serializes atomics) and on
 //     single-core machines (time slicing makes any multi-thread wall a
-//     scheduling artifact, not a cache property).
+//     scheduling artifact, not a cache property). The hammer places its
+//     workers on distinct CPUs of the process's affinity mask when the
+//     mask has enough of them, so the ratio measures the cache, not a
+//     scheduler that leaves new threads on the creating CPU.
 
 #include "serve/view_cache.h"
 
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include <atomic>
 #include <chrono>
@@ -80,18 +88,50 @@ void Populate(ViewCache* cache, const std::vector<ElementId>& ids,
   }
 }
 
+// The CPUs this process may run on, ascending (empty where the
+// affinity mask cannot be read).
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+#endif
+  return cpus;
+}
+
+// Binds the calling thread (only) to `cpu`.
+void PinCallingThreadTo(int cpu) {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  EXPECT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(set), &set), 0);
+#else
+  (void)cpu;
+#endif
+}
+
 // Runs `threads` workers, each performing `rounds` LookupOrBegin hits
 // over `ids` — the probe every serving layer's hit path runs — and
 // returns the wall time of the hammer region (spawn excluded via a start
-// latch).
+// latch). When the affinity mask holds at least `threads` CPUs, worker w
+// runs pinned to the w-th of them, so every thread count gets one CPU
+// per worker.
 double HammerMs(ViewCache* cache, const std::vector<ElementId>& ids,
                 uint32_t threads, uint32_t rounds) {
+  const std::vector<int> cpus = AllowedCpus();
+  const bool pin = cpus.size() >= threads;
   std::atomic<uint32_t> ready{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (uint32_t w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
+      if (pin) PinCallingThreadTo(cpus[w]);
       ready.fetch_add(1, std::memory_order_acq_rel);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       double sink = 0.0;

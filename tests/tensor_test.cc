@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 namespace vecube {
 namespace {
 
@@ -79,6 +83,97 @@ TEST(TensorTest, CopyIsDeep) {
   Tensor copy = *t;
   copy[0] = 99;
   EXPECT_EQ((*t)[0], 1.0);
+}
+
+TEST(TensorTest, CopyAssignmentIsDeep) {
+  auto t = Tensor::FromData({2}, {1, 2});
+  Tensor copy;
+  copy = *t;
+  EXPECT_NE(std::as_const(copy).raw(), std::as_const(*t).raw());
+  copy[1] = 99;
+  EXPECT_EQ((*t)[1], 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Sharing: Share() aliases the payload, and writes detach (copy-on-write).
+
+TEST(TensorTest, ShareAliasesThePayload) {
+  auto t = Tensor::FromData({2, 2}, {1, 2, 3, 4});
+  ASSERT_TRUE(t.ok());
+  const Tensor& original = *t;
+  const Tensor shared = original.Share();
+  EXPECT_EQ(shared.raw(), original.raw());  // same cells, no copy
+  EXPECT_EQ(shared.extents(), original.extents());
+  EXPECT_EQ(shared.stride(0), 2u);
+  EXPECT_EQ(shared.At({1, 0}), 3.0);
+}
+
+TEST(TensorTest, CopyOfASharedTensorIsDeep) {
+  auto t = Tensor::FromData({2}, {1, 2});
+  const Tensor shared = std::as_const(*t).Share();
+  const Tensor copy = shared;  // the copy constructor still copies
+  EXPECT_NE(copy.raw(), shared.raw());
+  EXPECT_EQ(copy.data(), shared.data());
+}
+
+TEST(TensorTest, EachMutableAccessorDetachesASharedPayload) {
+  const std::vector<std::function<void(Tensor&)>> writes = {
+      [](Tensor& t) { t.data()[0] = 99; },
+      [](Tensor& t) { t.raw()[0] = 99; },
+      [](Tensor& t) { t[0] = 99; },
+      [](Tensor& t) { t.Set({0, 0}, 99); },
+  };
+  for (size_t w = 0; w < writes.size(); ++w) {
+    auto t = Tensor::FromData({2, 2}, {1, 2, 3, 4});
+    ASSERT_TRUE(t.ok());
+    const Tensor& owner = *t;
+    Tensor writer = owner.Share();
+    writes[w](writer);
+    EXPECT_NE(std::as_const(writer).raw(), owner.raw()) << "accessor " << w;
+    EXPECT_EQ(owner[0], 1.0) << "accessor " << w << " wrote through";
+    EXPECT_EQ(std::as_const(writer)[0], 99.0) << "accessor " << w;
+    EXPECT_EQ(std::as_const(writer)[3], 4.0) << "accessor " << w;
+    EXPECT_EQ(writer.extents(), owner.extents()) << "accessor " << w;
+  }
+}
+
+TEST(TensorTest, SoleOwnerWritesInPlace) {
+  auto t = Tensor::FromData({4}, {1, 2, 3, 4});
+  ASSERT_TRUE(t.ok());
+  const double* cells = std::as_const(*t).raw();
+  (*t)[0] = 5;
+  t->raw()[1] = 6;
+  t->data()[2] = 7;
+  t->Set({3}, 8);
+  EXPECT_EQ(std::as_const(*t).raw(), cells);
+  // Once the other owner is gone, the survivor owns the cells alone again.
+  { const Tensor dropped = std::as_const(*t).Share(); }
+  (*t)[0] = 9;
+  EXPECT_EQ(std::as_const(*t).raw(), cells);
+  EXPECT_EQ(t->data(), (TensorBuffer{9, 6, 7, 8}));
+}
+
+TEST(TensorTest, MoveHandsOverThePayload) {
+  auto t = Tensor::FromData({2}, {1, 2});
+  Tensor shared = std::as_const(*t).Share();
+  const double* cells = std::as_const(shared).raw();
+  Tensor moved(std::move(shared));
+  EXPECT_EQ(std::as_const(moved).raw(), cells);
+  Tensor assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(std::as_const(assigned).raw(), cells);
+  EXPECT_EQ(moved.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.ndim(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(TensorTest, EmptyTensorsShareAndDetachCleanly) {
+  const Tensor empty;
+  const Tensor shared = empty.Share();
+  EXPECT_EQ(shared.size(), 0u);
+  Tensor writer = empty.Share();
+  writer.data().push_back(1.0);  // detaches onto a private payload
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(Tensor().size(), 0u);
 }
 
 }  // namespace

@@ -13,9 +13,11 @@ safe direction for every rule here.
 Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
 
   hit-path-no-locks      No mutex acquisition, condition wait, or fill
-                         wait may be *reachable* from the ViewCache hit
-                         path (ViewCache::FindPinned, the probe every
-                         cache read starts with). Call-graph
+                         wait may be *reachable* from the hit path: the
+                         ViewCache probe every cache read starts with
+                         (ViewCache::FindPinned) and the admission fast
+                         path every query starts with
+                         (AdmissionController::TakeSlot). Call-graph
                          reachability, not a per-body regex: a helper
                          that locks is flagged even if the root body
                          looks clean.
@@ -151,6 +153,7 @@ DISABLE_RE = re.compile(r"//\s*vecube-check:\s*disable=([\w,-]+)")
 # --- hit-path-no-locks -------------------------------------------------
 HIT_PATH_ROOTS = (
     "ViewCache::FindPinned",
+    "AdmissionController::TakeSlot",
 )
 # Anything that acquires, waits, or blocks. The hit path may touch
 # atomics and epoch pins only.
@@ -506,8 +509,9 @@ def check_hit_path(index: FunctionIndex, sources: dict, findings: list):
                 findings.append(Finding(
                     fn.rel, lineno, "hit-path-no-locks",
                     f"blocking/locking call inside {fn.qualname}, which "
-                    "is reachable from the ViewCache hit path; reads must "
-                    "stay epoch-pinned and lock-free (DESIGN.md §12)"))
+                    "is reachable from the hit path (cache probe or "
+                    "admission fast path); it must stay lock-free "
+                    "(DESIGN.md §12)"))
 
 
 def check_unbounded_wait(index: FunctionIndex, sources: dict,
